@@ -94,7 +94,8 @@ func TestAblationsSmall(t *testing.T) {
 	sz := Small()
 	sz.PipeFibN = 800
 	tbl := Ablations(nil, 2, sz)
-	if len(tbl.Rows) != 5 {
+	// The baseline plus the three Section 9 ablations.
+	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 	if tbl.Rows[0][2] != "1.00" {
@@ -246,18 +247,18 @@ func TestGuardMissingRowListsAvailable(t *testing.T) {
 		}
 		return path
 	}
-	full := write("full.json", "X/P1", "X/P1/CompilePlans=false", "Y/P2")
+	full := write("full.json", "X/P1", "X/P1/Grain=1", "Y/P2")
 	stale := write("stale.json", "X/P1", "Y/P2")
 	empty := write("empty.json")
 
 	// Direction 1: the row exists in the fresh run but the baseline
 	// predates it — the error must blame the baseline path and list the
 	// baseline's rows.
-	err := CheckMetricRegression(full, stale, "X/P1/CompilePlans=false", "ns_per_op", 15, 0)
+	err := CheckMetricRegression(full, stale, "X/P1/Grain=1", "ns_per_op", 15, 0)
 	if err == nil {
 		t.Fatal("row missing from baseline passed the guard")
 	}
-	for _, want := range []string{"X/P1/CompilePlans=false", "stale.json", "available", "X/P1", "Y/P2"} {
+	for _, want := range []string{"X/P1/Grain=1", "stale.json", "available", "X/P1", "Y/P2"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("baseline-direction error %q does not mention %q", err, want)
 		}
@@ -269,11 +270,11 @@ func TestGuardMissingRowListsAvailable(t *testing.T) {
 	// Direction 2: the baseline has the row but the fresh run (e.g. run
 	// with a narrower -only filter) does not — the error must blame the
 	// fresh path instead.
-	err = CheckRegression(stale, full, "X/P1/CompilePlans=false", 15)
+	err = CheckRegression(stale, full, "X/P1/Grain=1", 15)
 	if err == nil {
 		t.Fatal("row missing from fresh report passed the guard")
 	}
-	for _, want := range []string{"X/P1/CompilePlans=false", "stale.json", "available", "X/P1", "Y/P2"} {
+	for _, want := range []string{"X/P1/Grain=1", "stale.json", "available", "X/P1", "Y/P2"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("fresh-direction error %q does not mention %q", err, want)
 		}

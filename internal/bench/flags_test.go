@@ -162,6 +162,24 @@ func TestCheckSpeedupRegression(t *testing.T) {
 	if err := CheckSpeedupRegression(write(t, "f1.json", oneCPU), write(t, "b1.json", oneCPU), "LZStream", 15); err != nil {
 		t.Fatalf("1-CPU shape should skip: %v", err)
 	}
+	// Baseline-only gap: a multi-core run against a baseline recorded on a
+	// 1-CPU host skips too, but must blame the baseline, not this host.
+	if err := CheckSpeedupRegression(write(t, "f3.json", curve(1.8)), write(t, "b3.json", oneCPU), "LZStream", 15); err != nil {
+		t.Fatalf("baseline without a real P>1 point should skip: %v", err)
+	}
+	msg := speedupSkipReason(true, false, "b3.json", 2)
+	if !strings.Contains(msg, "baseline b3.json") || !strings.Contains(msg, "regenerate the baseline curves on a multi-core host") {
+		t.Errorf("baseline-only skip reason %q does not name the baseline and the fix", msg)
+	}
+	if strings.Contains(msg, "1-CPU host") || strings.Contains(msg, "fresh") {
+		t.Errorf("baseline-only skip reason %q blames the fresh report or the host", msg)
+	}
+	if msg := speedupSkipReason(false, true, "b.json", 1); !strings.Contains(msg, "1-CPU host") || strings.Contains(msg, "baseline") {
+		t.Errorf("fresh-only skip reason on a 1-CPU host = %q", msg)
+	}
+	if msg := speedupSkipReason(false, true, "b.json", 2); strings.Contains(msg, "1-CPU host") {
+		t.Errorf("fresh-only skip reason on a 2-CPU host blames a 1-CPU host: %q", msg)
+	}
 	// Unknown workload in the fresh report is a harness bug: fail.
 	if err := CheckSpeedupRegression(write(t, "f2.json", JSONReport{Curves: []JSONCurve{{Workload: "Other"}}}),
 		base, "LZStream", 15); err == nil {

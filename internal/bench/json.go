@@ -48,11 +48,9 @@ type JSONBenchmark struct {
 	ArenaGets     float64 `json:"arena_gets_per_op"`
 	ArenaMisses   float64 `json:"arena_misses_per_op"`
 	ArenaRecycled float64 `json:"arena_recycled_bytes_per_op"`
-	// PlansCompiled and FusedStages are plan-compiler counter deltas per
-	// operation: execution plans sealed and stage transitions fused away.
-	// Zero on CompilePlans=false ablation rows.
+	// PlansCompiled is the per-operation delta of Stats.PlansCompiled:
+	// pipelines whose iteration 0 set the serial-only flag.
 	PlansCompiled float64 `json:"plans_compiled_per_op"`
-	FusedStages   float64 `json:"fused_stages_per_op"`
 }
 
 // JSONReport is the top-level BENCH_piper.json document.
@@ -107,7 +105,6 @@ func statDelta(b *JSONBenchmark, before, after piper.Stats, n int) {
 	b.ArenaMisses = float64(after.ArenaMisses-before.ArenaMisses) / d
 	b.ArenaRecycled = float64(after.ArenaBytesRecycled-before.ArenaBytesRecycled) / d
 	b.PlansCompiled = float64(after.PlansCompiled-before.PlansCompiled) / d
-	b.FusedStages = float64(after.PlanFusedStages-before.PlanFusedStages) / d
 }
 
 // runJSONBench runs one benchmark body against a dedicated engine and
@@ -143,7 +140,7 @@ func runJSONBench(name string, perIter int, mkEngine func() *piper.Engine, body 
 		BytesPerOp:  float64(r.AllocedBytesPerOp()) / div,
 	}
 	statDelta(&b, before, after, r.N)
-	for _, f := range []*float64{&b.Steals, &b.Parks, &b.Wakes, &b.PoolHits, &b.PoolMisses, &b.InlineIters, &b.Promotions, &b.BatchedIters, &b.BatchSplits, &b.ArenaGets, &b.ArenaMisses, &b.ArenaRecycled, &b.PlansCompiled, &b.FusedStages} {
+	for _, f := range []*float64{&b.Steals, &b.Parks, &b.Wakes, &b.PoolHits, &b.PoolMisses, &b.InlineIters, &b.Promotions, &b.BatchedIters, &b.BatchSplits, &b.ArenaGets, &b.ArenaMisses, &b.ArenaRecycled, &b.PlansCompiled} {
 		*f /= div
 	}
 	return b
@@ -200,21 +197,12 @@ func JSONSuite(w io.Writer, cfg SuiteConfig) error {
 	rows := []row{
 		{"SerialOverheadPerIter/P1", spsIters, mk(1), empty},
 		{"SerialOverheadPerIter/P1/Grain=1", spsIters, mk(1, piper.Grain(1)), empty},
-		{"SerialOverheadPerIter/P1/PoolFrames=false", spsIters, mk(1, piper.PoolFrames(false)), empty},
-		{"SerialOverheadPerIter/P1/InlineFastPath=false", spsIters, mk(1, piper.InlineFastPath(false)), empty},
-		// CompilePlans=false is the plan-compiler ablation pair for the two
-		// guarded per-iteration rows: the default rows above run compiled,
-		// these reproduce the interpreter-only baseline.
-		{"SerialOverheadPerIter/P1/CompilePlans=false", spsIters, mk(1, piper.CompilePlans(false)), empty},
-		{"SPSPerIter/P2/CompilePlans=false", spsIters, mk(2, piper.CompilePlans(false)), sps},
 		// BatchedSerialOverhead pins the adaptive-grain configuration
 		// explicitly (independent of engine defaults): the guarded metric
 		// for the batching regression smoke.
 		{"BatchedSerialOverhead/P1", spsIters, mk(1, piper.GrainMax(64)), empty},
 		{"SPSPerIter/P2", spsIters, mk(2), sps},
 		{"SPSPerIter/P2/Grain=1", spsIters, mk(2, piper.Grain(1)), sps},
-		{"SPSPerIter/P2/PoolFrames=false", spsIters, mk(2, piper.PoolFrames(false)), sps},
-		{"SPSPerIter/P2/InlineFastPath=false", spsIters, mk(2, piper.InlineFastPath(false)), sps},
 		{"PipeFibFine/P2", 0, mk(2), fib},
 		{"Dedup1MiB/P2", 0, mk(2), dd},
 		{"LZFactor1MiB/P2", 0, mk(2), lzBody},

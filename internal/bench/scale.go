@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 
 	"piper"
@@ -238,6 +239,25 @@ func highestRealSpeedup(c JSONCurve) (p int, speedup float64, ok bool) {
 	return p, speedup, ok
 }
 
+// speedupSkipReason names the report(s) lacking a real P>1 speedup point
+// and what would supply one. Only a fresh report measured on a 1-CPU host
+// is explained by the host; a baseline without the point was recorded
+// elsewhere and must be regenerated on a multi-core host.
+func speedupSkipReason(freshOK, baseOK bool, baselinePath string, numCPU int) string {
+	var why []string
+	if !freshOK {
+		if numCPU == 1 {
+			why = append(why, "fresh report has no real P>1 point — 1-CPU host")
+		} else {
+			why = append(why, fmt.Sprintf("fresh report has no real P>1 point on this %d-CPU host — record it with -procs including a P>1 value", numCPU))
+		}
+	}
+	if !baseOK {
+		why = append(why, fmt.Sprintf("baseline %s has no real P>1 point — regenerate the baseline curves on a multi-core host", baselinePath))
+	}
+	return strings.Join(why, "; ")
+}
+
 // CheckSpeedupRegression compares a workload's speedup at the highest
 // real P present in both the fresh report and the baseline, failing when
 // the fresh speedup has dropped more than maxPct percent. On hosts where
@@ -268,8 +288,7 @@ func CheckSpeedupRegression(freshPath, baselinePath, workload string, maxPct flo
 	fp, fs, fok := highestRealSpeedup(fc)
 	bp, bs, bok := highestRealSpeedup(bc)
 	if !fok || !bok {
-		fmt.Printf("speedup guard skipped: no real P>1 point (fresh ok=%v, baseline ok=%v, NumCPU=%d) — 1-CPU host\n",
-			fok, bok, runtime.NumCPU())
+		fmt.Printf("speedup guard skipped: %s\n", speedupSkipReason(fok, bok, baselinePath, runtime.NumCPU()))
 		return nil
 	}
 	if fp != bp {

@@ -423,8 +423,7 @@ func TestElasticScaleUpShrinksGrain(t *testing.T) {
 // grain at 1 and batching never engaged. The qualified signal (surplus
 // workers above MinWorkers, or steal activity since the last batch open)
 // shows neither here, so the grain must climb exactly as it does alone
-// on a single-worker pool. CompilePlans is disabled to isolate the
-// hysteresis fix from plan-seeded grain, which would mask a pinned ramp.
+// on a single-worker pool.
 func TestIdleSpareDoesNotPinGrain(t *testing.T) {
 	cases := []struct {
 		name string
@@ -439,7 +438,6 @@ func TestIdleSpareDoesNotPinGrain(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			c.opts.CompilePlans = false
 			e := NewEngine(c.opts)
 			defer e.Close()
 

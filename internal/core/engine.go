@@ -62,19 +62,6 @@ type Options struct {
 	// TailSwap enables the tail-swap rule at iteration completion
 	// (on by default via DefaultOptions).
 	TailSwap bool
-	// PoolFrames enables recycling of frame structs, their coroutine
-	// channels and goroutines, and pipeline control state through
-	// sync.Pools (on by default via DefaultOptions; see pool.go). Disable
-	// only for ablation: every frame is then allocated fresh, as in the
-	// unoptimized runtime.
-	PoolFrames bool
-	// InlineFastPath enables tier-1 inline execution (on by default via
-	// DefaultOptions; see frame.go): a worker drives each iteration as a
-	// direct call on its own stack and promotes it to a coroutine frame
-	// only when it must actually block. Disable only for ablation: every
-	// iteration then runs on a coroutine runner with a channel handshake
-	// per segment, as in the previous runtime.
-	InlineFastPath bool
 	// Grain fixes the batched inline execution run length G: a worker's
 	// fast path claims up to G consecutive iterations into one control
 	// frame and executes their bodies back-to-back through one pooled
@@ -86,25 +73,11 @@ type Options struct {
 	// exactly. 0 (the default) selects adaptive grain: each pipeline
 	// starts at 1 and grows geometrically up to GrainMax while batches
 	// complete without promotions and no worker sits idle, shrinking when
-	// either signal appears. Only meaningful with InlineFastPath.
+	// either signal appears.
 	Grain int
 	// GrainMax caps adaptive grain growth (0 means 64). Ignored when
 	// Grain > 0 fixes the run length.
 	GrainMax int
-	// CompilePlans enables the pipeline plan compiler (on by default via
-	// DefaultOptions; see plan.go): iteration 0 of each pipeline runs
-	// under the interpreter with a trace recorder attached, and if it
-	// retires cleanly its transition shape is compiled into a specialized
-	// plan — fused short serial stages, a precomputed cross-edge wait
-	// table, elided per-boundary checks, and a static grain seed — that
-	// later iterations dispatch on, deoptimizing back to the interpreter
-	// the moment any iteration diverges from the recorded shape. Disable
-	// only for ablation: every iteration then re-derives the stage
-	// structure per boundary, as in the previous runtime. Plans are only
-	// compiled while DependencyFolding is on and EagerEnabling is off
-	// (the compiled dispatch subsumes the fold cache and never performs
-	// eager check-rights), and never for instrumented pipelines.
-	CompilePlans bool
 	// ArenaBuffers enables the engine's recycled payload-buffer arena
 	// (on by default via DefaultOptions; see Engine.Arena and
 	// internal/arena). Disable only for ablation: Engine.Arena then
@@ -134,9 +107,6 @@ func DefaultOptions() Options {
 		DependencyFolding: true,
 		EagerEnabling:     false,
 		TailSwap:          true,
-		PoolFrames:        true,
-		InlineFastPath:    true,
-		CompilePlans:      true,
 		ArenaBuffers:      true,
 	}
 }
@@ -281,7 +251,6 @@ type Engine struct {
 	// Handle.Wait would hang forever.
 	submitMu sync.RWMutex
 	closed   atomic.Bool
-	closedCh chan struct{}
 	wg       sync.WaitGroup
 
 	// adm is the admission queue (see admission.go): nil when the engine
@@ -305,11 +274,10 @@ type Engine struct {
 func NewEngine(opts Options) *Engine {
 	opts.normalize()
 	e := &Engine{
-		opts:     opts,
-		closedCh: make(chan struct{}),
-		canGrow:  opts.elastic(),
-		hooks:    opts.hooks,
-		arena:    arena.New(opts.ArenaBuffers),
+		opts:    opts,
+		canGrow: opts.elastic(),
+		hooks:   opts.hooks,
+		arena:   arena.New(opts.ArenaBuffers),
 	}
 	e.adm = newAdmitter(e, &opts)
 	e.workers = make([]*worker, opts.MaxWorkers)
@@ -502,8 +470,7 @@ func (e *Engine) Stats() Stats {
 }
 
 // Close shuts the engine down. It must not be called while pipelines are
-// still running (Wait every outstanding Handle first). Closing also
-// releases every pooled coroutine runner parked for reuse. A Submit or
+// still running (Wait every outstanding Handle first). A Submit or
 // PipeWhile launch racing Close either completes normally (the last
 // exiting worker drains it) or observes the closed engine; its work is
 // never silently stranded.
@@ -550,11 +517,6 @@ func (e *Engine) Close() {
 		w.parkCh <- struct{}{}
 	}
 	e.wg.Wait()
-	// Release the pooled coroutine runners only after the workers are
-	// gone: frames acquired from the pools during the drain must still
-	// have live runners, and the resume handshake must never race a
-	// runner's shutdown (corun's select would drop the resume).
-	close(e.closedCh)
 }
 
 // PipeWhile executes an on-the-fly pipeline: while cond() reports true, an
@@ -587,7 +549,7 @@ type PipelineReport struct {
 	FinalThrottle int64
 	// FinalGrain is the batched-execution run length G at completion: the
 	// fixed Options.Grain, or where the adaptive policy settled (see
-	// frame.runInlineBatch). 1 for serial and coroutine-tier runs.
+	// frame.runInlineBatch). 1 for serial runs.
 	FinalGrain int64
 	// WorkNs and SpanNs are the measured work T1 and span T∞ of the
 	// pipeline dag in nanoseconds, populated only by ProfilePipeline
@@ -595,23 +557,6 @@ type PipelineReport struct {
 	// semantics: span is an upper bound, so Parallelism is a lower
 	// bound).
 	WorkNs, SpanNs int64
-	// PlanCompiled reports whether iteration 0's recorded shape sealed a
-	// compiled execution plan (see plan.go). False when
-	// Options.CompilePlans is off, for instrumented runs, and when the
-	// recording was cut short by a panic, an abort, or a transition-count
-	// overflow.
-	PlanCompiled bool
-	// PlanStages is the compiled plan's node count (the recorded stage-0
-	// prefix plus one node per transition); 0 when no plan was sealed.
-	PlanStages int64
-	// PlanFusedStages counts the plan's fused transitions — interior
-	// pipe_continue boundaries between short stages elided at dispatch.
-	PlanFusedStages int64
-	// PlanDeopts counts retractions of this pipeline's plan: an
-	// iteration's transitions diverged from the recorded shape and the
-	// pipeline fell back to the interpreter (at most 1 per run; the
-	// field is a count for symmetry with Stats.PlanDeopts).
-	PlanDeopts int64
 }
 
 // Parallelism returns the measured T1/T∞, or 0 for uninstrumented runs.
@@ -1027,12 +972,6 @@ func (w *worker) execute(f *frame) bool {
 			w.assigned.Store(nil)
 			w.traceSegment(tracing, traceKind, traceIndex, traceStart)
 			switch msg.kind {
-			case ySpawn:
-				// The control frame is the continuation: push it for
-				// thieves (they will run iteration i+1's stage 0) and
-				// adopt the freshly spawned iteration, child-first.
-				w.pushWork(f)
-				f = msg.child
 			case yInlineDone:
 				// An iteration ran to completion inline after releasing
 				// the control frame mid-body; retire it here. The control
@@ -1047,7 +986,7 @@ func (w *worker) execute(f *frame) bool {
 				f = w.afterDone(f)
 			}
 
-		default: // kindIter
+		default: // kindIter: a promoted frame, resumed on its runner
 			w.assigned.Store(f)
 			msg := f.driveSegment(w)
 			w.assigned.Store(nil)
@@ -1241,9 +1180,8 @@ func (w *worker) findWork() *frame {
 			continue // final drain scan at the loop top, then exit
 		}
 		e.stats.parks.Add(1)
-		// No closedCh case: Close only closes that channel after wg.Wait,
-		// by which point no worker is parked — a parked worker is always
-		// released by a wake token, from signal or from Close's sweep.
+		// A parked worker is always released by a wake token, from signal
+		// or from Close's sweep.
 		if !w.parkAwait() {
 			return nil // retired: the worker role ends here
 		}

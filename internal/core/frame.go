@@ -33,11 +33,8 @@
 // runs under the ordinary suspend/resume protocol: a worker "executes" it
 // by resuming the runner over the channel pair and blocking until it
 // yields, preserving PIPER's bind-to-element structure, throttling, and
-// deque discipline.
-//
-// The Options.InlineFastPath ablation switch restores the always-coroutine
-// model: every iteration then runs on a (pooled) runner goroutine with a
-// resume/yield handshake per segment, as in the previous runtime.
+// deque discipline. The runner exits when the body returns; the frame
+// itself recycles through the pools (see pool.go).
 package core
 
 import (
@@ -72,16 +69,14 @@ type yieldKind int8
 
 const (
 	yDone       yieldKind = iota // frame finished
-	ySpawn                       // control: a runnable iteration left stage 0
 	ySuspend                     // frame parked (status says why)
-	yLeftStage0                  // iteration: left the serial stage-0 prefix, still runnable
 	yInlineDone                  // control: an inline iteration completed after releasing the control frame
 	yPromoted                    // control: the goroutine promoted away; the worker role moved on
 )
 
 type yieldMsg struct {
 	kind  yieldKind
-	child *frame // for ySpawn and yInlineDone
+	child *frame // for yInlineDone
 }
 
 const stageDone = math.MaxInt64
@@ -94,11 +89,9 @@ type cacheLinePad = [64]byte
 
 // coTail is the coroutine half of an iteration frame: the unbuffered
 // channel pair over which a runner goroutine and its driver hand control
-// back and forth. With the inline fast path enabled the tail is attached
-// only on promotion (from its own pool — see pool.go) and detached again
-// at retirement, so unblocked iterations never carry one; with the fast
-// path ablated every iteration frame owns a tail for its whole pooled
-// lifetime, together with a runner goroutine that parks for reuse.
+// back and forth. The tail is attached only on promotion (from its own
+// pool — see pool.go) and detached again at retirement, so unblocked
+// iterations never carry one.
 type coTail struct {
 	resume chan struct{}
 	yield  chan yieldMsg
@@ -113,18 +106,9 @@ type frame struct {
 	kind frameKind
 	eng  *Engine
 
-	// co is the coroutine machinery (iteration frames); see coTail for
-	// when it is attached. With pooling (and the inline fast path off) the
-	// tail and the runner goroutine outlive individual incarnations.
+	// co is the coroutine machinery of a promoted iteration frame; nil
+	// while the iteration runs inline (see coTail).
 	co *coTail
-	// started is true while a runner goroutine serves this frame: the
-	// driver must resume it rather than spawn one. Promotion sets it (the
-	// promoting goroutine is the runner); retirement of a promoted frame
-	// clears it as the tail detaches.
-	started bool
-	// reusable is immutable: true iff the frame recycles through a pool,
-	// which also makes a corun runner loop instead of exiting.
-	reusable bool
 	// inline is true while the iteration body runs as a direct call on the
 	// worker's goroutine (tier 1). Runner-local; cleared by promotion or at
 	// inline completion.
@@ -142,10 +126,10 @@ type frame struct {
 	refs atomic.Int32
 
 	// w is the worker currently driving this frame's segment. For a
-	// coroutine segment it is set by driveSegment before the runner
-	// resumes; for an inline run it is the executing worker itself. Stable
-	// for the duration of the segment; user code pushes spawned tasks onto
-	// w's deque through it.
+	// promoted frame it is set by driveSegment before the runner resumes;
+	// for an inline run it is the executing worker itself. Stable for the
+	// duration of the segment; user code pushes spawned tasks onto w's
+	// deque through it.
 	w *worker
 
 	// Iteration state.
@@ -160,15 +144,6 @@ type frame struct {
 	// DependencyFolding ablation is off, which keeps the crossSatisfied
 	// fast path honest (a zero cache can never satisfy a stage j >= 1).
 	foldCache int64
-	// Compiled-plan dispatch state (see plan.go), all runner-local: plan
-	// is the immutable shape this incarnation dispatches on (nil:
-	// interpret), planCur the cursor into its transition list, crossDone
-	// the sticky wait-table bit (the predecessor can never block this
-	// iteration again), and rec the iteration-0 trace recorder.
-	plan      *plan
-	planCur   int
-	crossDone bool
-	rec       *planRecorder
 	// Runner-local stat shadows, flushed to the engine at finish.
 	nFoldHits, nCrossChecks int64
 
@@ -213,57 +188,21 @@ type frame struct {
 	_         cacheLinePad
 }
 
-// driveSegment resumes the frame's coroutine and blocks until it yields.
-// It may be called from a worker's goroutine or, for an iteration's
-// stage-0 segment under the InlineFastPath ablation, from the control
-// frame's step. With the fast path on it is only ever called on promoted
-// frames, whose runner (the goroutine that promoted) is already live.
+// driveSegment resumes a promoted frame's coroutine runner (the
+// goroutine that promoted it) and blocks until it yields.
 func (f *frame) driveSegment(w *worker) yieldMsg {
 	f.w = w
 	w.eng.stats.segments.Add(1)
-	if !f.started {
-		f.started = true
-		//piper:allow-go bounded by the frame: corun exits when the body returns, and the driver holds the yield handshake until then
-		go f.corun()
-	}
 	f.co.resume <- struct{}{}
 	return <-f.co.yield
-}
-
-// corun is the body of a frame's spawned runner goroutine (InlineFastPath
-// off). A reusable runner loops: after yielding yDone it parks on the
-// resume channel and serves the frame's next incarnation, whose reset
-// state it observes through the channel handshake. The engine's close
-// channel releases runners whose frame sits idle in the pool (or was
-// dropped from it by the GC) when the engine shuts down.
-func (f *frame) corun() {
-	for {
-		select {
-		case <-f.co.resume:
-		case <-f.eng.closedCh:
-			return
-		}
-		f.runOnce()
-		f.co.yield <- yieldMsg{kind: yDone}
-		if !f.reusable {
-			return
-		}
-	}
-}
-
-// runOnce executes one incarnation of the iteration body on a spawned
-// runner goroutine.
-func (f *frame) runOnce() {
-	f.runBody()
-	f.finishIter()
 }
 
 // runBody executes the iteration body, converting a user panic into
 // pipeline panic state. An abortUnwind sentinel (a cancel observed at a
 // stage boundary) exits through the same path without recording a panic.
-// Shared by the coroutine runner (runOnce) and the inline fast path
-// (runInlineBatch), so cancellation and panic capture behave identically
-// in both execution tiers.
+// The goroutine that starts a body keeps running it if the iteration
+// promotes, so cancellation and panic capture are the same before and
+// after promotion.
 func (f *frame) runBody() {
 	defer func() {
 		if r := recover(); r != nil {
@@ -359,9 +298,8 @@ func (f *frame) runInlineBatch(w *worker, claim int64) inlineResult {
 			// Promoted mid-body: this goroutine is the frame's runner now,
 			// and a driver (the takeover goroutine or whichever worker
 			// resumed us last) is blocked on the yield channel. Hand it the
-			// retired frame and unwind; unlike a pooled corun runner we do
-			// not park for reuse — the tail detaches at the frame's last
-			// unref and the next incarnation starts inline again.
+			// retired frame and unwind; the tail detaches at the frame's
+			// last unref and the next incarnation starts inline again.
 			flush()
 			f.co.yield <- yieldMsg{kind: yDone}
 			return inlinePromoted
@@ -399,21 +337,20 @@ func (f *frame) runInlineBatch(w *worker, claim int64) inlineResult {
 	}
 }
 
-// runInlineBatchSerial is the compiled serial-only variant of
-// runInlineBatch, entered by step when the pipeline's sealed plan proved
-// iteration 0 never left stage 0 (plan.serialOnly) and this frame is
-// bound to that plan. While each slot's body indeed retires wholly inside
-// stage 0 with the plan intact, the per-slot publication protocol is
-// elided: no stageDone/statusDone stores, no statusRunning/waitStage
-// resets, no stat-shadow flushes — completion is published once, at batch
-// exit. That is sound because the batch holds the control frame for its
-// whole run: no successor frame exists to read the stage counter, and
-// nothing outside this goroutine observes the recycled slots. Any slot
-// that deviates — the plan was retracted, the body left stage 0 after
-// all, it panicked, or a fork-join promotion took the goroutine — falls
-// into a slow tail that replays the exact generic per-iteration sequence
-// and ends the batch, so divergence costs one shortened batch, never a
-// protocol difference.
+// runInlineBatchSerial is the serial-only variant of runInlineBatch,
+// entered by step while the pipeline's serial flag is set (iteration 0
+// retired without ever leaving stage 0; see pipeline.serialOnly). While
+// each slot's body indeed retires wholly inside stage 0, the per-slot
+// publication protocol is elided: no stageDone/statusDone stores, no
+// statusRunning/waitStage resets, no stat-shadow flushes — completion is
+// published once, at batch exit. That is sound because the batch holds
+// the control frame for its whole run: no successor frame exists to read
+// the stage counter, and nothing outside this goroutine observes the
+// recycled slots. Any slot that deviates — the body left stage 0 after
+// all, it panicked, or it promoted — falls into a slow tail that replays
+// the exact generic per-iteration sequence, clears the serial flag if the
+// body left stage 0, and ends the batch, so divergence costs one
+// shortened batch, never a protocol difference.
 func (f *frame) runInlineBatchSerial(w *worker, claim int64) inlineResult {
 	e := f.eng
 	pl := f.pl
@@ -434,11 +371,13 @@ func (f *frame) runInlineBatchSerial(w *worker, claim int64) inlineResult {
 		f.inline = true
 		started++
 		f.runBody()
-		if f.plan == nil || !f.inStage0 || f.panicked != nil || !f.inline {
-			// Slow tail: this slot diverged from the serial shape (or the
-			// plan was dropped mid-body). Replay the generic sequence for it
-			// and end the batch; the next batch re-reads the plan pointer
-			// and dispatches accordingly.
+		if !f.inStage0 || f.panicked != nil || !f.inline {
+			// Slow tail: this slot diverged from the serial shape. Replay the
+			// generic sequence for it and end the batch; the next batch
+			// re-reads the flag and dispatches accordingly.
+			if !f.inStage0 {
+				pl.clearSerial()
+			}
 			f.finishIter()
 			if !f.inline {
 				flush()
@@ -446,22 +385,19 @@ func (f *frame) runInlineBatchSerial(w *worker, claim int64) inlineResult {
 				return inlinePromoted
 			}
 			f.inline = false
+			released := !f.batched && !f.inStage0
 			if f.batched {
 				f.batched = false
 				deferred++
-				flush()
-				return inlineDoneOwned
-			}
-			if !f.inStage0 {
-				flush()
-				return inlineDoneReleased
 			}
 			flush()
+			if released {
+				return inlineDoneReleased
+			}
 			return inlineDoneOwned
 		}
-		// Fast retire: the body ran wholly inside stage 0 with the plan
-		// intact, so the slot never parked, never published, and never
-		// touched its stat shadows (f.rec is nil past iteration 0; the
+		// Fast retire: the body ran wholly inside stage 0, so the slot never
+		// parked, never published, and never touched its stat shadows (the
 		// cross-check counters stay zero with no transitions taken).
 		f.inline = false
 		if f.batched {
@@ -485,9 +421,8 @@ func (f *frame) runInlineBatchSerial(w *worker, claim int64) inlineResult {
 			return inlineDoneOwned
 		}
 		// Minimal in-place recycle: only index advances. stage stayed 0,
-		// status stayed statusRunning, inStage0 stayed true, the cursor
-		// never moved (no transitions in a serial plan), and prev was
-		// dropped by the first slot's entry path or is already nil.
+		// status stayed statusRunning, and inStage0 stayed true; prev, if
+		// set, is the previous batch's retired frame, dropped at batch exit.
 		f.index = pl.nextIndex
 		pl.nextIndex++
 	}
@@ -513,14 +448,6 @@ func (f *frame) resetBatchIter() {
 	f.inStage0 = true
 	f.foldCache = 0
 	f.nFoldHits, f.nCrossChecks = 0, 0
-	f.planCur = 0
-	f.crossDone = false
-	if f.plan != nil {
-		// A deopt retracts the published plan; later slots of the batch
-		// must observe it (a nil reload) rather than keep dispatching on
-		// the stale shape.
-		f.plan = pl.plan.Load()
-	}
 	f.curScope = nil
 	f.panicked = nil
 }
@@ -574,10 +501,7 @@ func (f *frame) promote() {
 		f.releaseControl()
 	}
 	f.inline = false
-	if f.co == nil {
-		f.co = e.acquireCoTail()
-	}
-	f.started = true
+	f.co = e.acquireCoTail()
 	//piper:allow-go bounded by the pipeline: takeover drives this frame to stageDone, which the pipe_while drain awaits
 	go w.takeover(f)
 }
@@ -586,11 +510,10 @@ func (f *frame) promote() {
 // path: the control frame — whose step call sits frozen below us on this
 // goroutine's stack — is pushed to the deque, where a thief (or this
 // worker, once the inline body completes) picks it up to run iteration
-// i+1's stage 0. This is the inline analogue of the yLeftStage0/ySpawn
-// handoff: the continuation becomes stealable and the worker keeps the
-// child, preserving the spawned-child-first discipline. The frozen step
-// invocation learns of the release through runInlineBatch's result and
-// unwinds without touching the pipeline again.
+// i+1's stage 0: the continuation becomes stealable and the worker keeps
+// the child, preserving the spawned-child-first discipline. The frozen
+// step invocation learns of the release through runInlineBatch's result
+// and unwinds without touching the pipeline again.
 func (f *frame) releaseControl() {
 	f.inStage0 = false
 	w := f.w
@@ -600,8 +523,8 @@ func (f *frame) releaseControl() {
 }
 
 // abortCheck unwinds the iteration if its submission has been canceled.
-// Called at stage boundaries — the cooperative preemption points — in
-// both execution tiers.
+// Called at stage boundaries — the cooperative preemption points — both
+// inline and after promotion.
 func (f *frame) abortCheck() {
 	if f.pl.abortRequested() {
 		panic(abortUnwind{})
@@ -625,10 +548,10 @@ func (f *frame) drainScope(sc *scope) {
 // iteration is now satisfied.
 func (f *frame) finishIter() {
 	if f.kind == kindIter {
-		if f.rec != nil {
-			// The recording iteration retired: compile and publish the
-			// pipeline's plan before completion is announced.
-			f.pl.sealPlan(f)
+		if f.index == 0 && f.inStage0 {
+			// Iteration 0 retired without leaving stage 0: the pipeline may
+			// take the serial-only batch loop from here on.
+			f.pl.markSerial(f)
 		}
 		f.instrFinishIteration()
 		f.stage.Store(stageDone)
@@ -639,11 +562,11 @@ func (f *frame) finishIter() {
 	f.status.Store(statusDone)
 }
 
-// park yields the given suspend message and blocks until a worker resumes
-// the frame. The caller must already have published the parked status and
+// park yields a suspend message and blocks until a worker resumes the
+// frame. The caller must already have published the parked status and
 // re-checked its condition (or lost a claiming CAS to a waker).
-func (f *frame) park(msg yieldMsg) {
-	f.co.yield <- msg
+func (f *frame) park() {
+	f.co.yield <- yieldMsg{kind: ySuspend}
 	<-f.co.resume
 }
 

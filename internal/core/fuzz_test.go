@@ -9,7 +9,7 @@ import (
 // FuzzPipelineSchedule is the differential fuzzer for the scheduler:
 // random per-iteration stage/op programs — Wait, Continue, skipped
 // stages, fork-join, nested pipelines — execute on the real engine under
-// two scheduler configurations, and the results are checked against a
+// several scheduler configurations, and the results are checked against a
 // sequential oracle interpreter plus the paper's serial-stage ordering
 // invariant (node (i, j) entered via pipe_wait must not begin before
 // iteration i-1 has finished all work in stages ≤ j).
@@ -211,6 +211,9 @@ func FuzzPipelineSchedule(f *testing.F) {
 	f.Add([]byte{1, 0, 8, 3, fopWait, 2, fopCompute, 7, fopWait, 0})
 	f.Add([]byte{3, 7, 12, 2, fopContinue, 0, fopNested, 2, 4, fopWait, 1, fopFork, 0, fopWait, 2, fopCompute, 9})
 	f.Add([]byte{0, 1, 24, 1, fopWait, 2, 1, fopContinue, 2, 2, fopWait, 0, fopWait, 1})
+	// An all-stage-0 iteration 0 followed by iterations that Continue and
+	// Wait: sets the serial flag, then clears it mid-run.
+	f.Add([]byte{1, 3, 20, 0, 3, fopContinue, 1, fopWait, 0, fopCompute, 5, 2, fopWait, 2, fopFork, 1, 1, fopContinue, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeProgram(data)
@@ -221,57 +224,33 @@ func FuzzPipelineSchedule(f *testing.F) {
 		}
 
 		// Differential runs across the scheduler configuration matrix: the
-		// paper-faithful default (inline fast path + pooling + adaptive
-		// grain), the fully ablated runtime (eager enabling, no tail swap,
-		// no dependency folding, allocate-per-use frames, always-coroutine
-		// execution), both execution tiers crossed with PoolFrames=false,
-		// and the batching extremes — unbatched Grain(1), a fixed G=4
-		// claim, and a tight adaptive ceiling that forces the grow/shrink
-		// policy to act within small programs. The promotion, recycling,
-		// and batch split/defer paths must agree with the oracle under
-		// every combination.
+		// paper-faithful default (adaptive grain), the paper's Section 9
+		// ablations together (eager enabling, no tail swap, no dependency
+		// folding), and the batching extremes — unbatched Grain(1), a
+		// fixed G=4 claim, and a tight adaptive ceiling that forces the
+		// grow/shrink policy to act within small programs. Programs whose
+		// iteration 0 is all stage 0 also drive the serial flag through
+		// set and clear. The promotion, recycling, and batch split/defer
+		// paths must agree with the oracle under every combination.
 		ablated := DefaultOptions()
 		ablated.EagerEnabling = true
 		ablated.TailSwap = false
 		ablated.DependencyFolding = false
-		ablated.PoolFrames = false
-		ablated.InlineFastPath = false
-		inlineNoPool := DefaultOptions()
-		inlineNoPool.PoolFrames = false
-		coroutinePooled := DefaultOptions()
-		coroutinePooled.InlineFastPath = false
 		grain1 := DefaultOptions()
 		grain1.Grain = 1
 		grain4 := DefaultOptions()
 		grain4.Grain = 4
 		adaptiveTight := DefaultOptions()
 		adaptiveTight.GrainMax = 4
-		// CompilePlans defaults on, so every config above except "ablated"
-		// (which disables dependency folding, a plan prerequisite) runs
-		// compiled dispatch; the interp twins ablate the compiler so the same
-		// programs also execute under the pure interpreter. Shape-unstable
-		// programs (per-iteration op lists differ) additionally exercise the
-		// deopt path inside the compiled configs themselves.
-		interpDefault := DefaultOptions()
-		interpDefault.CompilePlans = false
-		interpGrain1 := grain1
-		interpGrain1.CompilePlans = false
-		interpCoroutine := coroutinePooled
-		interpCoroutine.CompilePlans = false
 		for _, cfg := range []struct {
 			name string
 			opts Options
 		}{
 			{"default", DefaultOptions()},
 			{"ablated", ablated},
-			{"inline-nopool", inlineNoPool},
-			{"coroutine-pooled", coroutinePooled},
 			{"grain1", grain1},
 			{"grain4", grain4},
 			{"adaptive-g4", adaptiveTight},
-			{"interp-default", interpDefault},
-			{"interp-grain1", interpGrain1},
-			{"interp-coroutine", interpCoroutine},
 		} {
 			got := runFuzzProgram(t, p, cfg.opts)
 			for i := range want {

@@ -15,9 +15,8 @@ import (
 // interleaving space the differential comparison explores. Batching
 // changes *which* interleavings occur — deferred control releases remove
 // steal opportunities, splits reintroduce them at new places — so the
-// perturbed matrix runs the same oracle programs over Grain(1), adaptive
-// grain, and the coroutine tier (InlineFastPath off), plus a forced
-// injection-overflow storm, and requires bit-identical results, intact
+// perturbed matrix runs the same oracle programs over Grain(1) and
+// adaptive grain, plus a forced injection-overflow storm, and requires bit-identical results, intact
 // serial-stage ordering, and a fully drained engine every time.
 
 // newPerturber builds a seeded hook set. The hook functions are called
@@ -81,28 +80,12 @@ func TestSchedulePerturbationMatrix(t *testing.T) {
 	grain1.Grain = 1
 	adaptive := DefaultOptions()
 	adaptive.GrainMax = 8
-	coroutine := DefaultOptions()
-	coroutine.InlineFastPath = false
-	// CompilePlans defaults on, so the three base configs exercise compiled
-	// dispatch (the oracle programs are shape-stable, so their plans seal on
-	// iteration 0); the -interp twins ablate the compiler so every program
-	// also runs under the pure interpreter with identical perturbation
-	// seeds. Bit-identical output across the pairing is the differential
-	// guarantee the plan compiler is held to.
-	interp := func(o Options) Options {
-		o.CompilePlans = false
-		return o
-	}
 	configs := []struct {
 		name string
 		opts Options
 	}{
 		{"grain1", grain1},
 		{"adaptive", adaptive},
-		{"coroutine", coroutine},
-		{"grain1-interp", interp(grain1)},
-		{"adaptive-interp", interp(adaptive)},
-		{"coroutine-interp", interp(coroutine)},
 	}
 	programs := perturbPrograms()
 	for _, cfg := range configs {

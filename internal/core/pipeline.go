@@ -66,26 +66,19 @@ type pipeline struct {
 	grainFixed bool
 	grainHold  bool
 
-	// Compiled-plan state (see plan.go). plan is the published compiled
-	// shape: stored once by the recording iteration's seal, swapped to nil
-	// by deopt, loaded by the control frame when binding new iterations.
-	// planEligible caches the option gate; rec is the embedded iteration-0
-	// recorder (touched only by that iteration's runner). planSeeded,
-	// serialPlan, and lastStealStamp are control-frame state like grain;
-	// planCompiled/planStages/planFused are written once at seal and read
-	// by report after completion (ordered by the pipeline's join/done
-	// handshake, like grain).
-	plan           atomic.Pointer[plan]
-	planEligible   bool
-	planSeeded     bool
-	serialPlan     *plan
+	// lastStealStamp and sawSteals are control-frame state like grain
+	// (see idleThieves).
 	lastStealStamp int64
 	sawSteals      bool
-	rec            planRecorder
-	planCompiled   bool
-	planStages     int64
-	planFused      int64
-	planDeopts     atomic.Int64
+
+	// serialOnly is set when iteration 0 retired without ever leaving
+	// stage 0 (see markSerial): the body is, so far, all serial prologue.
+	// While it holds, step runs batches through runInlineBatchSerial and
+	// skips the throttle gate whenever no iteration is live. The first
+	// slot that leaves stage 0 clears it for good (clearSerial). Atomic
+	// because that slot may already have released the control frame to a
+	// thief, which reads the flag at its next batch.
+	serialOnly atomic.Bool
 
 	// Work/span instrumentation (see instrument.go).
 	instrument bool
@@ -141,17 +134,7 @@ type Iter struct {
 func (it *Iter) Index() int64 { return it.f.index }
 
 // Stage reports the stage number of the node currently executing.
-func (it *Iter) Stage() int64 {
-	f := it.f
-	if p := f.plan; p != nil && f.planCur > 0 {
-		// Fused transitions defer publication to the shared counter, so
-		// the per-iteration view reads the plan cursor instead — the
-		// compiled run is indistinguishable from interpreted execution
-		// through the Iter handle.
-		return p.nodes[f.planCur-1].stage
-	}
-	return f.stage.Load()
-}
+func (it *Iter) Stage() int64 { return it.f.stage.Load() }
 
 // Engine returns the engine executing this iteration, for spawning nested
 // pipelines.
@@ -170,20 +153,10 @@ func (it *Iter) checkStageArg(j int64) {
 // (i, j) once node (i-1, j) of the previous iteration has completed.
 func (it *Iter) Wait(j int64) {
 	f := it.f
-	if p := f.plan; p != nil {
-		if f.planStep(p, j, true) {
-			return
-		}
-		// Diverged from the recorded shape: the plan is retracted and the
-		// true stage materialized; revalidate and interpret from here.
-	}
 	it.checkStageArg(j)
 	if f.serial {
 		f.serialAdvance(j)
 		return
-	}
-	if r := f.rec; r != nil {
-		r.note(j, true)
 	}
 	f.abortCheck()
 	f.instrEndNode(j)
@@ -208,22 +181,13 @@ func (it *Iter) Wait(j int64) {
 		f.instrBeginNode(true, j)
 		return
 	}
-	left0 := f.inStage0
-	f.inStage0 = false
-	if f.crossSatisfied(j) {
-		if left0 {
-			// Hand control back to the pipe_while loop so iteration i+1's
-			// serial stage 0 can start; the driving worker re-adopts us as
-			// its assigned frame (spawned-child-first discipline).
-			f.park(yieldMsg{kind: yLeftStage0})
-		}
-		f.instrBeginNode(true, j)
-		return
+	// Promoted: promotion already released stage 0, so only the edge is
+	// left to check. See the inline branch above for why the abort
+	// re-check must follow a park.
+	if !f.crossSatisfied(j) {
+		f.parkOnCross(j)
+		f.abortCheck()
 	}
-	f.parkOnCross(j)
-	// See the inline branch above for why this re-check must follow the
-	// park.
-	f.abortCheck()
 	f.instrBeginNode(true, j)
 }
 
@@ -231,32 +195,16 @@ func (it *Iter) Wait(j int64) {
 // node (i, j) immediately.
 func (it *Iter) Continue(j int64) {
 	f := it.f
-	if p := f.plan; p != nil {
-		if f.planStep(p, j, false) {
-			return
-		}
-	}
 	it.checkStageArg(j)
 	if f.serial {
 		f.serialAdvance(j)
 		return
 	}
-	if r := f.rec; r != nil {
-		r.note(j, false)
-	}
 	f.abortCheck()
 	f.instrEndNode(j)
 	f.advance(j)
-	if f.inline {
-		if f.inStage0 {
-			f.leaveStage0Inline()
-		}
-		f.instrBeginNode(false, j)
-		return
-	}
-	if f.inStage0 {
-		f.inStage0 = false
-		f.park(yieldMsg{kind: yLeftStage0})
+	if f.inline && f.inStage0 {
+		f.leaveStage0Inline()
 	}
 	f.instrBeginNode(false, j)
 }
@@ -287,7 +235,7 @@ func (f *frame) parkOnCross(j int64) {
 			// pair with its resume.
 		}
 		f.eng.stats.crossSuspends.Add(1)
-		f.park(yieldMsg{kind: ySuspend})
+		f.park()
 		if f.crossSatisfiedSlow(j) {
 			return
 		}
@@ -304,18 +252,6 @@ func (pl *pipeline) newIter(prev *frame) *frame {
 	f.index = pl.nextIndex
 	f.instrOn = pl.instrument
 	f.prev = prev
-	if pl.planEligible {
-		if pl.nextIndex == 0 {
-			if !pl.instrument {
-				// Iteration 0 interprets with the trace recorder attached;
-				// its clean retirement seals the pipeline's plan.
-				pl.rec.reset()
-				f.rec = &pl.rec
-			}
-		} else {
-			f.plan = pl.plan.Load()
-		}
-	}
 	pl.nextIndex++
 	if prev != nil {
 		prev.next.Store(f)
@@ -331,17 +267,15 @@ func (pl *pipeline) newIter(prev *frame) *frame {
 // prefix in order, spawns the remainder of the iteration, enforces the
 // throttling limit, and finally syncs on all outstanding iterations.
 //
-// step returns ySpawn{child} when a runnable iteration left stage 0 (the
-// caller pushes the control frame and adopts the child), ySuspend when
-// the control frame parked (throttled or syncing; a waker will redeliver
-// it, possibly while this call is still unwinding — the caller must not
-// touch the frame after a suspend), and yDone at pipeline completion.
-// With the inline fast path, step may instead return yInlineDone{child}
-// (an iteration completed inline after releasing the control frame; the
-// caller retires the child and must not touch the control frame) or
-// yPromoted (an inline iteration promoted mid-body; the calling goroutine
-// already served as its runner, the worker role moved to a takeover
-// goroutine, and the caller must unwind touching nothing).
+// step returns ySuspend when the control frame parked (throttled or
+// syncing; a waker will redeliver it, possibly while this call is still
+// unwinding — the caller must not touch the frame after a suspend), yDone
+// at pipeline completion, yInlineDone{child} when an iteration completed
+// inline after releasing the control frame (the caller retires the child
+// and must not touch the control frame), and yPromoted when an inline
+// iteration promoted mid-body (the calling goroutine already served as
+// its runner, the worker role moved to a takeover goroutine, and the
+// caller must unwind touching nothing).
 func (pl *pipeline) step(cf *frame, w *worker) yieldMsg {
 	cf.w = w
 	pl.eng.stats.segments.Add(1)
@@ -358,13 +292,12 @@ func (pl *pipeline) step(cf *frame, w *worker) yieldMsg {
 			// Throttle before testing the loop condition: the condition
 			// is part of the next iteration's serial stage 0, and its
 			// evaluation may consume an input element, so it must run
-			// exactly once per started iteration. A sealed serial-only
-			// plan elides the gate while no iteration is live: K >= 1
-			// always exceeds join == 0, and a serial pipeline only keeps
-			// frames live across steps when a stage-0 body promoted
-			// (fork-join on stolen children) — exactly the case join > 0
-			// routes back through the full gate.
-			if n := pl.join.Load(); pl.serialPlan == nil || n > 0 {
+			// exactly once per started iteration. A serial-only pipeline
+			// elides the gate while no iteration is live: K >= 1 always
+			// exceeds join == 0, and join > 0 routes any frame a
+			// serial-only pipeline kept live across steps back through the
+			// full gate.
+			if n := pl.join.Load(); n > 0 || !pl.serialOnly.Load() {
 				if k := pl.K.Load(); n >= k {
 					// Adaptive throttling: if the machine is starving (idle
 					// workers) while this pipeline is window-bound, trade
@@ -414,74 +347,45 @@ func (pl *pipeline) step(cf *frame, w *worker) yieldMsg {
 			pl.prevIter = it
 			// Drive the iteration from here; stage 0 runs serially in
 			// iteration order, exactly as the pipe_while transformation in
-			// the paper prescribes.
-			if pl.eng.opts.InlineFastPath {
-				// Tier-1 fast path: claim a batch of up to openBatch()
-				// consecutive iterations and run their bodies as direct
-				// calls on this goroutine, all through the one frame just
-				// acquired. The batch's final slot releases this control
-				// frame to the deque at its stage-0 exit (thieves pick it
-				// up to run the next iteration's stage 0), and any slot
-				// that must block promotes to a coroutine frame and
-				// performs that release itself — after either event this
-				// step invocation no longer owns the pipeline and must
-				// unwind through the returned message without touching it.
-				tracing := pl.eng.tracing.Load()
-				var traceStart int64
-				if tracing {
-					traceStart = nowNs()
-				}
-				claim := pl.openBatch()
-				var res inlineResult
-				if sp := pl.serialPlan; sp != nil && it.plan == sp {
-					// Serial-only compiled plan: the batched fast retire
-					// loop elides per-slot stage/status publication (see
-					// runInlineBatchSerial).
-					res = it.runInlineBatchSerial(w, claim)
-				} else {
-					if pl.serialPlan != nil && pl.plan.Load() == nil {
-						// The plan deopted; retract the serial fast loop.
-						pl.serialPlan = nil
-					}
-					res = it.runInlineBatch(w, claim)
-				}
-				switch res {
-				case inlineDoneOwned:
-					// The batch ran to completion without releasing the
-					// control frame (its final body never left stage 0, or
-					// the loop exhausted/aborted mid-claim): retire the
-					// frame inline. The chain slot (pl.prevIter) keeps its
-					// reference until the next iteration links past it.
-					w.traceSegment(tracing, kindIter, it.index, traceStart)
-					pl.join.Add(-1)
-					it.unref()
-					continue
-				case inlineDoneReleased:
-					w.traceSegment(tracing, kindIter, it.index, traceStart)
-					return yieldMsg{kind: yInlineDone, child: it}
-				default: // inlinePromoted
-					return yieldMsg{kind: yPromoted}
-				}
+			// the paper prescribes. Claim a batch of up to openBatch()
+			// consecutive iterations and run their bodies as direct calls
+			// on this goroutine, all through the one frame just acquired.
+			// The batch's final slot releases this control frame to the
+			// deque at its stage-0 exit (thieves pick it up to run the next
+			// iteration's stage 0), and any slot that must block promotes
+			// to a coroutine frame and performs that release itself — after
+			// either event this step invocation no longer owns the pipeline
+			// and must unwind through the returned message without
+			// touching it.
+			tracing := pl.eng.tracing.Load()
+			var traceStart int64
+			if tracing {
+				traceStart = nowNs()
 			}
-			msg := it.driveSegment(w)
-			switch msg.kind {
-			case yDone:
-				// The whole body was stage 0 (or it panicked): retire
-				// inline. The chain slot (pl.prevIter) keeps its
-				// reference until the next iteration links past it.
+			claim := pl.openBatch()
+			var res inlineResult
+			if pl.serialOnly.Load() {
+				res = it.runInlineBatchSerial(w, claim)
+			} else {
+				res = it.runInlineBatch(w, claim)
+			}
+			switch res {
+			case inlineDoneOwned:
+				// The batch ran to completion without releasing the control
+				// frame (its final body never left stage 0, or the loop
+				// exhausted/aborted mid-claim): retire the frame inline. The
+				// chain slot (pl.prevIter) keeps its reference until the
+				// next iteration links past it.
+				w.traceSegment(tracing, kindIter, it.index, traceStart)
 				pl.join.Add(-1)
 				it.unref()
-			case ySuspend:
-				// Parked straight out of stage 0 on a cross edge; a
-				// future check-right will resume it. Keep looping.
-			case yLeftStage0:
-				// Runnable beyond stage 0: the worker pushes this control
-				// frame (the continuation) and adopts the iteration —
-				// thieves steal the continuation and run iteration i+1's
-				// stage 0, unfolding the pipeline.
-				return yieldMsg{kind: ySpawn, child: it}
+				continue
+			case inlineDoneReleased:
+				w.traceSegment(tracing, kindIter, it.index, traceStart)
+				return yieldMsg{kind: yInlineDone, child: it}
+			default: // inlinePromoted
+				return yieldMsg{kind: yPromoted}
 			}
-			continue
 		}
 		// phaseDrain — cilk_sync: wait for outstanding iterations.
 		if pl.join.Load() > 0 {
@@ -508,31 +412,14 @@ func (pl *pipeline) step(cf *frame, w *worker) yieldMsg {
 // (idleThieves), and shrink (÷2) as soon as such workers appear — idle
 // thieves mean the pipeline should be releasing its stealable
 // continuation more often, not less, so batching must never starve
-// parallelism to buy amortization. A freshly sealed plan is folded in
-// here (the control frame owns all grain state): a serial-only plan
-// installs the batched fast retire loop, and the recorded iteration cost
-// seeds the adaptive grain, replacing the cold G=1 ramp for bodies the
-// recording proves short. Instrumented and traced runs pin the claim
-// to 1: per-node work/span accounting chains critical paths through real
+// parallelism to buy amortization. Instrumented and traced runs pin the
+// claim to 1: per-node work/span accounting chains critical paths through real
 // predecessor frames, and trace consumers expect one segment per
 // iteration.
 func (pl *pipeline) openBatch() int64 {
 	g := pl.grain
 	if pl.instrument || pl.eng.tracing.Load() {
 		return 1
-	}
-	if !pl.planSeeded {
-		if p := pl.plan.Load(); p != nil {
-			pl.planSeeded = true
-			if p.serialOnly {
-				pl.serialPlan = p
-			}
-			if !pl.grainFixed && p.seedGrain > g {
-				g = minInt64(p.seedGrain, pl.grainMax)
-				pl.grain = g
-				pl.grainHold = true
-			}
-		}
 	}
 	if pl.grainFixed {
 		return g
@@ -661,10 +548,29 @@ func (pl *pipeline) report() PipelineReport {
 		FinalGrain:        pl.grain,
 		WorkNs:            pl.workNs.Load(),
 		SpanNs:            pl.spanNs.Load(),
-		PlanCompiled:      pl.planCompiled,
-		PlanStages:        pl.planStages,
-		PlanFusedStages:   pl.planFused,
-		PlanDeopts:        pl.planDeopts.Load(),
+	}
+}
+
+// markSerial sets the serial flag once iteration 0 has retired without
+// leaving stage 0. Called from finishIter with the control frame still
+// owned by the retiring iteration's batch (it never released it), before
+// completion is published. Runs cut short by a panic or an abort, and
+// instrumented runs, whose work/span accounting needs every node
+// boundary observed, set nothing.
+func (pl *pipeline) markSerial(f *frame) {
+	if f.instrOn || f.panicked != nil || pl.panicked() || pl.abortRequested() {
+		return
+	}
+	pl.serialOnly.Store(true)
+	pl.eng.stats.serialSets.Add(1)
+}
+
+// clearSerial retracts the serial flag: a slot of a serial-only batch
+// left stage 0. Later batches take the generic loop; the swap counts
+// the retraction once even if two slots race to it.
+func (pl *pipeline) clearSerial() {
+	if pl.serialOnly.Swap(false) {
+		pl.eng.stats.serialClears.Add(1)
 	}
 }
 

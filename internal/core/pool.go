@@ -8,18 +8,12 @@ import (
 // Frame pooling (Section 9 spirit: keep per-iteration bookkeeping cheap).
 //
 // The steady state of a throttled pipeline creates and retires one
-// iteration frame per iteration. Without pooling each frame costs a
-// ~400-byte struct (and, when it blocks or the inline fast path is off,
-// two unbuffered channels and a fresh goroutine); with pooling an
-// iteration frame recycles through a sync.Pool. Under the inline fast
-// path the pooled unit is a bare header — the coroutine tail attaches
-// only on promotion and recycles separately — while under the ablation
-// the frame recycles together with its channel pair AND its goroutine:
-// the coroutine runner parks on its resume channel after yielding yDone
-// and serves the frame's next incarnation instead of exiting (see
-// frame.corun). Closure frames and pipeline/control pairs recycle through
-// their own pools. The Options.PoolFrames ablation switch restores
-// allocate-per-use for measurement.
+// iteration frame per iteration. Each one recycles through a sync.Pool
+// as a bare ~400-byte header; the coroutine tail (two unbuffered
+// channels) attaches only on promotion and recycles through a pool of
+// its own. Closure frames and pipeline/control pairs recycle through
+// their own pools too, so a steady-state pipeline allocates nothing per
+// iteration.
 //
 // Recycling discipline. A frame may be reused only when no goroutine can
 // still dereference its non-atomic fields. Iteration frames are
@@ -36,23 +30,14 @@ import (
 // a spurious wake (publish-then-recheck; see parkOnCross and syncScope).
 // Each pool therefore serves exactly one frame kind, so kind never
 // changes on reuse and remains safely readable without synchronization.
-//
-// A pooled iteration frame whose runner goroutine is parked for reuse
-// holds a reference to the engine's closedCh; if the sync.Pool drops the
-// frame under GC pressure the goroutine stays parked until Engine.Close,
-// bounding the leak by the engine's lifetime.
 
-// framePools is the engine's recycling state.
-//
-// With the inline fast path (the default), pools.iter holds bare inline
-// headers — frames without channels or runner goroutines — and pools.co
-// holds detached coroutine tails; the tail pool is hit only when an
-// iteration promotes, so the steady state of an unblocked pipeline never
-// touches it. With InlineFastPath off, pools.iter holds full coroutine
-// frames whose tails stay attached and whose runners park for reuse, and
-// pools.co is never used.
+// framePools is the engine's recycling state. pools.iter holds bare
+// inline headers — frames without channels or runner goroutines — and
+// pools.co holds detached coroutine tails; the tail pool is hit only when
+// an iteration promotes, so the steady state of an unblocked pipeline
+// never touches it.
 type framePools struct {
-	iter     sync.Pool // *frame, kindIter (see above for what it carries)
+	iter     sync.Pool // *frame, kindIter, no coroutine tail attached
 	co       sync.Pool // *coTail: channel pairs attached on promotion
 	task     sync.Pool // *frame, kindClosure
 	pipeline sync.Pool // *pipeline with its embedded control frame
@@ -61,7 +46,7 @@ type framePools struct {
 	misses atomic.Int64
 
 	// Live gauges: checked-out-not-yet-retired counts per frame kind,
-	// maintained on every acquire/release (pooled or not). An idle engine
+	// maintained on every acquire/release. An idle engine
 	// has all three at zero; the cancellation and fuzz tests assert this
 	// to prove aborted frames drain cleanly mid-flight.
 	liveIter     atomic.Int64
@@ -69,36 +54,20 @@ type framePools struct {
 	livePipeline atomic.Int64
 }
 
-// acquireIterFrame returns a ready iteration frame: recycled when pooling
-// is enabled, freshly allocated otherwise.
+// acquireIterFrame returns a ready iteration frame, recycled when the
+// pool has one.
 func (e *Engine) acquireIterFrame() *frame {
 	e.pools.liveIter.Add(1)
 	var f *frame
-	if e.opts.PoolFrames {
-		if v := e.pools.iter.Get(); v != nil {
-			f = v.(*frame)
-			e.pools.hits.Add(1)
-		}
-	}
-	if f == nil {
-		if e.opts.PoolFrames {
-			e.pools.misses.Add(1)
-		}
-		f = &frame{
-			kind:     kindIter,
-			eng:      e,
-			reusable: e.opts.PoolFrames,
-		}
-		if !e.opts.InlineFastPath {
-			// Always-coroutine ablation: the tail is part of the frame for
-			// its whole lifetime (the runner goroutine is a closure over
-			// it), so it is allocated with the frame, not pooled apart.
-			f.co = &coTail{resume: make(chan struct{}), yield: make(chan yieldMsg)}
-		}
+	if v := e.pools.iter.Get(); v != nil {
+		f = v.(*frame)
+		e.pools.hits.Add(1)
+	} else {
+		e.pools.misses.Add(1)
+		f = &frame{kind: kindIter, eng: e}
 		f.it.f = f
 	}
-	// Reset the per-incarnation state. The runner goroutine (if parked for
-	// reuse) observes these writes through the resume-channel handshake.
+	// Reset the per-incarnation state.
 	f.stage.Store(0)
 	f.status.Store(statusRunning)
 	f.waitStage.Store(0)
@@ -107,10 +76,6 @@ func (e *Engine) acquireIterFrame() *frame {
 	f.inStage0 = true
 	f.foldCache = 0
 	f.nFoldHits, f.nCrossChecks = 0, 0
-	f.plan = nil
-	f.planCur = 0
-	f.crossDone = false
-	f.rec = nil
 	f.instrOn = false
 	f.nodeStart, f.curCrit, f.workAcc = 0, 0, 0
 	f.prevCritCursor = 0
@@ -132,16 +97,12 @@ func (f *frame) unref() {
 		return
 	}
 	f.eng.pools.liveIter.Add(-1)
-	if !f.reusable {
-		return // GC reclaims the frame and its (exiting) runner
-	}
-	if f.co != nil && f.eng.opts.InlineFastPath {
-		// A promoted frame's runner exits after its final yield instead of
-		// parking for reuse; detach the tail for the next promotion so the
-		// frame recycles as a bare inline header. Safe here: the last
-		// reference is gone, so the final handshake (which this unref is
-		// ordered after) was the last touch on the channels.
-		f.started = false
+	if f.co != nil {
+		// A promoted frame's runner exits after its final yield; detach the
+		// tail for the next promotion so the frame recycles as a bare
+		// inline header. Safe here: the last reference is gone, so the
+		// final handshake (which this unref is ordered after) was the last
+		// touch on the channels.
 		f.eng.pools.co.Put(f.co)
 		f.co = nil
 	}
@@ -151,17 +112,15 @@ func (f *frame) unref() {
 	f.eng.pools.iter.Put(f)
 }
 
-// acquireCoTail returns a coroutine tail for a promoting iteration:
-// recycled when pooling is enabled, freshly allocated otherwise. Hit only
-// on promotion — the inline fast path's steady state never comes here.
+// acquireCoTail returns a coroutine tail for a promoting iteration. Hit
+// only on promotion — the steady state of an unblocked pipeline never
+// comes here.
 func (e *Engine) acquireCoTail() *coTail {
-	if e.opts.PoolFrames {
-		if v := e.pools.co.Get(); v != nil {
-			e.pools.hits.Add(1)
-			return v.(*coTail)
-		}
-		e.pools.misses.Add(1)
+	if v := e.pools.co.Get(); v != nil {
+		e.pools.hits.Add(1)
+		return v.(*coTail)
 	}
+	e.pools.misses.Add(1)
 	return &coTail{resume: make(chan struct{}), yield: make(chan yieldMsg)}
 }
 
@@ -178,17 +137,15 @@ func (f *frame) dropPrev() {
 // acquireClosureFrame returns a fork-join task frame bound to sc and fn.
 func (e *Engine) acquireClosureFrame(sc *scope, fn func(*worker)) *frame {
 	e.pools.liveClosure.Add(1)
-	if e.opts.PoolFrames {
-		if v := e.pools.task.Get(); v != nil {
-			t := v.(*frame)
-			e.pools.hits.Add(1)
-			t.scope = sc
-			t.fn = fn
-			return t
-		}
-		e.pools.misses.Add(1)
+	if v := e.pools.task.Get(); v != nil {
+		t := v.(*frame)
+		e.pools.hits.Add(1)
+		t.scope = sc
+		t.fn = fn
+		return t
 	}
-	return &frame{kind: kindClosure, eng: e, scope: sc, fn: fn, reusable: e.opts.PoolFrames}
+	e.pools.misses.Add(1)
+	return &frame{kind: kindClosure, eng: e, scope: sc, fn: fn}
 }
 
 // releaseClosureFrame recycles a retired task frame. Closure frames are
@@ -196,9 +153,6 @@ func (e *Engine) acquireClosureFrame(sc *scope, fn func(*worker)) *frame {
 // top/bottom window are never dereferenced), so no refcount is needed.
 func (e *Engine) releaseClosureFrame(t *frame) {
 	e.pools.liveClosure.Add(-1)
-	if !t.reusable {
-		return
-	}
 	t.scope = nil
 	t.fn = nil
 	e.pools.task.Put(t)
@@ -209,18 +163,13 @@ func (e *Engine) releaseClosureFrame(t *frame) {
 func (e *Engine) acquirePipeline() *pipeline {
 	e.pools.livePipeline.Add(1)
 	var pl *pipeline
-	if e.opts.PoolFrames {
-		if v := e.pools.pipeline.Get(); v != nil {
-			pl = v.(*pipeline)
-			e.pools.hits.Add(1)
-		}
-	}
-	if pl == nil {
-		if e.opts.PoolFrames {
-			e.pools.misses.Add(1)
-		}
+	if v := e.pools.pipeline.Get(); v != nil {
+		pl = v.(*pipeline)
+		e.pools.hits.Add(1)
+	} else {
+		e.pools.misses.Add(1)
 		pl = &pipeline{eng: e}
-		pl.control = &frame{kind: kindControl, eng: e, reusable: e.opts.PoolFrames}
+		pl.control = &frame{kind: kindControl, eng: e}
 		pl.control.pl = pl
 	}
 	pl.cond, pl.body = nil, nil
@@ -236,35 +185,20 @@ func (e *Engine) acquirePipeline() *pipeline {
 	pl.prevIter = nil
 	// Grain state: a fixed Options.Grain pins the claim; otherwise the
 	// adaptive policy starts every pipeline at 1 (probing, via grainHold,
-	// before the first growth step) and grows toward GrainMax. The
-	// coroutine tier never batches, so its reports honestly pin 1.
-	switch {
-	case !e.opts.InlineFastPath:
-		pl.grain, pl.grainMax, pl.grainFixed = 1, 1, true
-	case e.opts.Grain > 0:
+	// before the first growth step) and grows toward GrainMax.
+	if e.opts.Grain > 0 {
 		pl.grain, pl.grainMax, pl.grainFixed = int64(e.opts.Grain), int64(e.opts.Grain), true
-	default:
+	} else {
 		pl.grain, pl.grainMax, pl.grainFixed = 1, int64(e.opts.GrainMax), false
 	}
 	pl.grainHold = true
-	// Plan-compiler state. Eligibility is decided once per execution: the
-	// compiled dispatch subsumes the fold cache and never performs eager
-	// check-rights, so the ablations that disable those interpret instead
-	// (see plan.go). planSeeded short-circuits openBatch's one-time seed
-	// check for ineligible pipelines.
-	pl.plan.Store(nil)
-	pl.planEligible = e.opts.CompilePlans && e.opts.DependencyFolding && !e.opts.EagerEnabling
-	pl.planSeeded = !pl.planEligible
-	pl.serialPlan = nil
+	pl.serialOnly.Store(false)
 	// The +1 pre-pays this pipeline's own stats.pipelines increment, which
 	// newPipeline performs right after this acquire returns; without it the
 	// first batch open would read a self-inflicted contention signal.
 	pl.lastStealStamp = e.stats.steals.Load() + e.stats.thiefEnables.Load() +
 		e.stats.pipelines.Load() + 1
 	pl.sawSteals = false
-	pl.planCompiled = false
-	pl.planStages, pl.planFused = 0, 0
-	pl.planDeopts.Store(0)
 	pl.instrument = false
 	pl.workNs.Store(0)
 	pl.spanNs.Store(0)
@@ -282,9 +216,6 @@ func (e *Engine) acquirePipeline() *pipeline {
 // so only the releasing goroutine still holds the pipeline.
 func (e *Engine) releasePipeline(pl *pipeline) {
 	e.pools.livePipeline.Add(-1)
-	if !pl.control.reusable {
-		return
-	}
 	pl.cond, pl.body = nil, nil
 	pl.parent = nil
 	pl.done = nil

@@ -139,14 +139,15 @@ func TestAdaptiveFixedWhenBoundsEqual(t *testing.T) {
 // TestAdaptiveGrowsUnderStarvation: the Figure 10 pathology with idle
 // workers must widen the window beyond the minimum. The growth trigger
 // (idle workers while window-bound) is scheduling-dependent, so the test
-// retries with increasingly heavy iterations under host load. It runs on
-// the coroutine tier: the per-segment handshakes interleave the workers
-// enough to surface window-boundness even at GOMAXPROCS < P, whereas the
-// inline tier may legitimately serialize the whole pipeline there (greedy
-// inline iterations never block, so starvation cannot arise to trigger
-// growth).
+// retries with increasingly heavy iterations under host load. The heavy
+// stage spins in 100µs chunks separated by runtime.Gosched: at GOMAXPROCS
+// below P, an unbroken spin would keep every other worker goroutine off
+// the CPU, so no thief could take the released pipe_while continuation,
+// no light iteration could pile up behind the heavy one, and the window
+// would never be seen full while workers idle. The yields let the other
+// workers run the pile-up that the growth trigger needs.
 func TestAdaptiveGrowsUnderStarvation(t *testing.T) {
-	e := newEngineOpts(t, func(o *Options) { o.Workers = 4; o.InlineFastPath = false })
+	e := newEngineOpts(t, func(o *Options) { o.Workers = 4 })
 	attempt := func(heavyMicros int64) bool {
 		// One heavy iteration blocks the serial tail stage while light
 		// ones pile up: with kMin=2 the pipeline starves 3 of 4 workers.
@@ -157,7 +158,10 @@ func TestAdaptiveGrowsUnderStarvation(t *testing.T) {
 			i++
 			it.Continue(1)
 			if idx%30 == 0 {
-				workload.SpinMicros(heavyMicros)
+				for spun := int64(0); spun < heavyMicros; spun += 100 {
+					workload.SpinMicros(100)
+					runtime.Gosched()
+				}
 			} else {
 				workload.SpinMicros(50) // light
 			}

@@ -46,7 +46,6 @@ type Stats struct {
 	// InlineIterations counts iterations started on the tier-1 inline
 	// fast path: the body begins as a direct call on the worker's
 	// goroutine, with no coroutine machinery (see frame.runInlineBatch).
-	// Always zero when Options.InlineFastPath is false.
 	InlineIterations int64
 	// Promotions counts inline iterations that had to block — an
 	// unsatisfied cross edge, a fork-join sync on stolen children, a
@@ -66,8 +65,9 @@ type Stats struct {
 	// slot had to block and promote; the residual claim is abandoned and
 	// the adaptive grain backs off.
 	BatchSplits int64
-	// Segments counts coroutine and control segments driven by workers
-	// (inline iterations are counted by InlineIterations instead).
+	// Segments counts control-frame steps and promoted-frame resumptions
+	// driven by workers (inline iterations are counted by
+	// InlineIterations instead).
 	Segments int64
 	// Pipelines counts pipe_while loops executed (including nested).
 	Pipelines int64
@@ -86,7 +86,6 @@ type Stats struct {
 	Injects int64
 	// FramePoolHits and FramePoolMisses count acquisitions served from
 	// the frame/pipeline pools versus fresh allocations (see pool.go).
-	// Always zero when Options.PoolFrames is false.
 	FramePoolHits, FramePoolMisses int64
 	// InjectOverflows counts root-frame injections that found every
 	// per-worker ring full and spilled to the mutex-guarded overflow
@@ -148,18 +147,17 @@ type Stats struct {
 	// because no pooled region of the size class was available. A
 	// steady-state pipeline has Misses ≪ Gets.
 	ArenaGets, ArenaPuts, ArenaMisses int64
-	// PlansCompiled counts pipelines whose recorded iteration 0 sealed a
-	// compiled execution plan (see plan.go). Always zero with
-	// Options.CompilePlans disabled.
+	// PlansCompiled counts pipelines whose iteration 0 retired without
+	// leaving stage 0, setting the serial flag that selects serial-only
+	// batch retirement (see pipeline.serialOnly). Never set for
+	// instrumented pipelines or when iteration 0 panicked or aborted.
 	PlansCompiled int64
-	// PlanFusedStages counts stage transitions the plan compiler fused
-	// away — interior pipe_continue boundaries between short stages whose
-	// per-boundary bookkeeping is elided at dispatch — summed over all
-	// compiled plans.
+	// Deprecated: always 0. Stage fusion no longer exists; the field
+	// stays so existing readers of Stats keep compiling.
 	PlanFusedStages int64
-	// PlanDeopts counts compiled plans retracted because an iteration's
-	// transitions diverged from the recorded shape; the pipeline falls
-	// back to the interpreter mid-flight.
+	// PlanDeopts counts serial flags cleared because a later iteration
+	// left stage 0; that pipeline runs the generic batch loop from then
+	// on. At most one per pipeline.
 	PlanDeopts int64
 }
 
@@ -198,9 +196,8 @@ type statCounters struct {
 	workerRetires   atomic.Int64
 	saturations     atomic.Int64
 	admissionWaitNs atomic.Int64
-	plansCompiled   atomic.Int64
-	planFusedStages atomic.Int64
-	planDeopts      atomic.Int64
+	serialSets      atomic.Int64
+	serialClears    atomic.Int64
 }
 
 func (c *statCounters) snapshot() Stats {
@@ -239,8 +236,7 @@ func (c *statCounters) snapshot() Stats {
 		WorkerRetires:     c.workerRetires.Load(),
 		Saturations:       c.saturations.Load(),
 		AdmissionWaitNs:   c.admissionWaitNs.Load(),
-		PlansCompiled:     c.plansCompiled.Load(),
-		PlanFusedStages:   c.planFusedStages.Load(),
-		PlanDeopts:        c.planDeopts.Load(),
+		PlansCompiled:     c.serialSets.Load(),
+		PlanDeopts:        c.serialClears.Load(),
 	}
 }

@@ -20,7 +20,7 @@ import (
 // points of a pipe_while program: once an abort is requested, the control
 // frame stops spawning iterations (the loop condition is not evaluated
 // again), and every live iteration unwinds at its next Wait or Continue
-// via a private panic sentinel that the coroutine runner recovers. The
+// via a private panic sentinel that runBody recovers. The
 // unwind path is the ordinary retirement path — finishIter publishes
 // stageDone (waking any successor parked on a cross edge, so aborts
 // cascade down the chain instead of deadlocking it), outstanding fork-join
@@ -110,7 +110,7 @@ func (a *abortState) loadErr() error {
 
 // abortUnwind is the sentinel panic value that unwinds an iteration body
 // at a stage boundary after an abort request. It never escapes the
-// runtime: the coroutine runner recovers it and retires the frame through
+// runtime: runBody recovers it and the frame retires through
 // the normal path. User code that recovers indiscriminately can swallow
 // it and delay (but not break) cancellation, like any cooperative scheme.
 type abortUnwind struct{}

@@ -403,10 +403,12 @@ func TestSubmitCancelAfterCompletion(t *testing.T) {
 	checkEngineDrained(t, e)
 }
 
-// TestSubmitUnpooledAbort: the abort paths must retire frames correctly
-// under the PoolFrames=false ablation as well.
+// TestSubmitUnpooledAbort: aborting an unbounded pipeline whose
+// iterations all cross-wait must retire every frame — including the ones
+// never taken from a warm pool, which is all of them on a fresh engine —
+// and leave the engine drained.
 func TestSubmitUnpooledAbort(t *testing.T) {
-	e := newEngineOpts(t, func(o *Options) { o.Workers = 2; o.PoolFrames = false })
+	e := newEngineOpts(t, func(o *Options) { o.Workers = 2 })
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	var once atomic.Bool

@@ -109,7 +109,6 @@ func TestPipelineMatchesSerial(t *testing.T) {
 		{"P4-adaptive", []piper.Option{piper.Workers(4)}},
 		{"P4-grain1", []piper.Option{piper.Workers(4), piper.Grain(1)}},
 		{"P4-grain4", []piper.Option{piper.Workers(4), piper.Grain(4)}},
-		{"P2-coroutine", []piper.Option{piper.Workers(2), piper.InlineFastPath(false)}},
 	}
 	for _, cfg := range cfgs {
 		eng := piper.NewEngine(cfg.opts...)

@@ -16,8 +16,9 @@
 // The scheduler automatically throttles each pipeline to at most K live
 // iterations (default 4·P), precluding runaway pipelines, and implements
 // the paper's lazy enabling, dependency folding, and tail-swap
-// optimizations — plus frame/coroutine pooling for an allocation-free
-// steady state — each individually switchable for ablation studies.
+// optimizations, each switchable for the paper's Section 9 ablation
+// studies. Frames are always recycled, so a steady-state pipeline
+// allocates nothing per iteration.
 //
 // Beyond the blocking PipeWhile, Engine.Submit launches pipelines
 // asynchronously for serving workloads: many concurrent pipelines per
@@ -189,16 +190,6 @@ func TailSwap(enabled bool) Option {
 	return func(o *core.Options) { o.TailSwap = enabled }
 }
 
-// PoolFrames toggles frame, coroutine, and pipeline recycling (default
-// on): iteration frames return to a sync.Pool together with their resume/
-// yield channel pair and their runner goroutine, so the steady state of a
-// throttled pipeline allocates nothing per iteration. Disable only for
-// ablation measurements — every frame is then allocated (and its
-// goroutine spawned) fresh, as in the unoptimized runtime.
-func PoolFrames(enabled bool) Option {
-	return func(o *core.Options) { o.PoolFrames = enabled }
-}
-
 // Grain fixes the batched inline execution run length G (default 0,
 // adaptive). The inline fast path claims up to G consecutive iterations
 // into one control frame and runs their bodies back-to-back through one
@@ -212,8 +203,7 @@ func PoolFrames(enabled bool) Option {
 // scheduling overhead — exactly TBB-style grain control; the adaptive
 // default makes that trade per pipeline, backing off whenever workers go
 // idle or batches split. Instrumented (Profile*) and traced runs always
-// execute with grain 1 so work/span accounting stays exact. Only
-// meaningful while InlineFastPath is enabled.
+// execute with grain 1 so work/span accounting stays exact.
 func Grain(g int) Option {
 	return func(o *core.Options) { o.Grain = g }
 }
@@ -226,28 +216,6 @@ func GrainMax(g int) Option {
 	return func(o *core.Options) { o.GrainMax = g }
 }
 
-// CompilePlans toggles pipeline plan compilation (default on): each
-// pipeline's first iteration runs under the interpreter with a trace
-// recorder attached, and when it retires cleanly the recorded stage shape
-// is compiled into a specialized execution plan — per-transition argument
-// validation, instrumentation branches, and the fold-cache compare chain
-// are hoisted out of the dispatch; adjacent short serial stages are
-// fused so their boundary bookkeeping disappears entirely; a recorded
-// pure-serial body enables whole-batch retirement with one published
-// completion; and the recorded iteration cost seeds the adaptive grain
-// ramp. An iteration whose transitions diverge from the recorded shape
-// deopts the pipeline back to the interpreter mid-flight, so shape-
-// unstable programs pay one retraction and nothing after. Semantics are
-// identical in both modes — compiled dispatch preserves cross-edge
-// ordering, throttling, cancellation, and the Grain(1) per-iteration
-// protocol exactly — so disabling is only for ablation measurements.
-// Plans require DependencyFolding and LazyEnabling (the ablations that
-// disable those measure the interpreter) and are never compiled for
-// instrumented (Profile*) runs.
-func CompilePlans(enabled bool) Option {
-	return func(o *core.Options) { o.CompilePlans = enabled }
-}
-
 // ArenaBuffers toggles the engine's recycled payload-buffer arena
 // (default on). Engine.Arena hands pipeline stages recycled, cache-line-
 // aligned, ref-counted byte regions that flow through stages by ownership
@@ -258,18 +226,6 @@ func CompilePlans(enabled bool) Option {
 // which is the ablation configuration for measuring what recycling buys.
 func ArenaBuffers(enabled bool) Option {
 	return func(o *core.Options) { o.ArenaBuffers = enabled }
-}
-
-// InlineFastPath toggles tier-1 inline execution (default on): a worker
-// first drives each iteration as direct function calls on its own stack —
-// no runner goroutine, no channel handshake — and promotes it to a full
-// coroutine frame only when it must actually block (an unsatisfied cross
-// edge, a fork-join sync on stolen children, a nested pipeline). Disable
-// only for ablation measurements — every iteration then runs on a pooled
-// coroutine runner with a resume/yield handshake per segment, as in the
-// previous runtime.
-func InlineFastPath(enabled bool) Option {
-	return func(o *core.Options) { o.InlineFastPath = enabled }
 }
 
 // NewEngine starts a scheduler with the given options.
