@@ -145,9 +145,18 @@ func TestDecompressRejectsCorrupt(t *testing.T) {
 		t.Fatal("bit flip produced an identical decode")
 	}
 
-	// Crafted adversarial streams: every field is attacker-controlled and
-	// must produce errors, not panics or runaway allocations.
-	crafted := map[string][]byte{
+	for name, s := range craftedBlockStreams() {
+		if _, err := Decompress(s); err == nil {
+			t.Errorf("crafted stream %q decoded without error", name)
+		}
+	}
+}
+
+// craftedBlockStreams are adversarial block containers: every field is
+// attacker-controlled and must produce errors, not panics or runaway
+// allocations.
+func craftedBlockStreams() map[string][]byte {
+	return map[string][]byte{
 		"dist-zero":      {4, 16, 1, 2, 0},                                                              // copy factor with Dist=0
 		"dist-huge":      {4, 16, 1, 2, 255, 255, 3},                                                    // Dist far beyond produced output
 		"len-huge":       {4, 16, 1, 255, 255, 3, 1},                                                    // Len beyond the block bound
@@ -155,11 +164,29 @@ func TestDecompressRejectsCorrupt(t *testing.T) {
 		"huge-total":     append([]byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 1}, 16, 1, 0, 'x'), // total=2^63+
 		"huge-blocksize": {4, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1},
 	}
-	for name, s := range crafted {
-		if _, err := Decompress(s); err == nil {
-			t.Errorf("crafted stream %q decoded without error", name)
-		}
+}
+
+// FuzzDecompress: arbitrary bytes must decode or fail cleanly, never
+// panic; and the same bytes taken as raw input must round-trip through
+// CompressSerial byte-exactly. Containers declaring more than 1 MiB of
+// output are not decoded: a few valid factors may legitimately expand to
+// the declared total, which would only slow the fuzzer down.
+func FuzzDecompress(f *testing.F) {
+	enc := CompressSerial(workload.TextStream(5, 2<<10, 1024, 0.3), 512)
+	f.Add(enc)
+	f.Add(enc[:len(enc)/2])
+	for _, s := range craftedBlockStreams() {
+		f.Add(s)
 	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if total, n := uvarint(in); n > 0 && total <= 1<<20 {
+			Decompress(in)
+		}
+		dec, err := Decompress(CompressSerial(in, 1+len(in)%1024))
+		if err != nil || !bytes.Equal(dec, in) {
+			t.Fatalf("round trip of %d bytes: err=%v, equal=%v", len(in), err, bytes.Equal(dec, in))
+		}
+	})
 }
 
 func truncate(b []byte) []byte {

@@ -46,23 +46,17 @@ const maxFactorBlockSize = 2 << 20
 
 var errCorrupt = errors.New("lz: corrupt stream")
 
-// appendUvarint / readUvarint: minimal varint plumbing for the encoding.
-func appendUvarint(dst []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	return append(dst, tmp[:binary.PutUvarint(tmp[:], v)]...)
-}
-
 // appendBlock encodes one block's factor list.
 func appendBlock(dst []byte, factors []Factor) []byte {
-	dst = appendUvarint(dst, uint64(len(factors)))
+	dst = binary.AppendUvarint(dst, uint64(len(factors)))
 	for _, f := range factors {
 		if f.Len == 0 {
-			dst = appendUvarint(dst, 0)
+			dst = binary.AppendUvarint(dst, 0)
 			dst = append(dst, f.Lit)
 			continue
 		}
-		dst = appendUvarint(dst, uint64(f.Len))
-		dst = appendUvarint(dst, uint64(f.Dist))
+		dst = binary.AppendUvarint(dst, uint64(f.Len))
+		dst = binary.AppendUvarint(dst, uint64(f.Dist))
 	}
 	return dst
 }
@@ -100,8 +94,8 @@ func Compress(eng *piper.Engine, k int, data []byte, blockSize int) []byte {
 	// Presize for an output as large as the input plus header margin: any
 	// compressible stream fits without reallocation, so the encode stage's
 	// only allocation is this one up-front buffer.
-	out := appendUvarint(make([]byte, 0, 64+len(data)+len(data)/16), uint64(len(data)))
-	out = appendUvarint(out, uint64(blockSize))
+	out := binary.AppendUvarint(make([]byte, 0, 64+len(data)+len(data)/16), uint64(len(data)))
+	out = binary.AppendUvarint(out, uint64(blockSize))
 	a := eng.Arena()
 	off := 0
 	piper.PipeThrottled(eng, k, func() (*job, bool) {
@@ -151,8 +145,8 @@ func CompressSerial(data []byte, blockSize int) []byte {
 	if blockSize > maxFactorBlockSize {
 		blockSize = maxFactorBlockSize
 	}
-	out := appendUvarint(nil, uint64(len(data)))
-	out = appendUvarint(out, uint64(blockSize))
+	out := binary.AppendUvarint(nil, uint64(len(data)))
+	out = binary.AppendUvarint(out, uint64(blockSize))
 	for off := 0; off < len(data); {
 		end := off + blockSize
 		if end > len(data) {

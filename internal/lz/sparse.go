@@ -111,24 +111,42 @@ func buildChunkIndex(ix *chunkIndex, data []byte, rate, blockSize int, backing [
 	}
 }
 
-// bestBefore walks the chain of data[p:p+fingerprintLen] restricted to
-// blocks strictly before blockStart and returns the best (src, len) found,
+// bestBefore walks the chain of fingerprint hash h — hash8 of
+// data[p:p+fingerprintLen], which the caller computes once for both walks
+// after checking p+fingerprintLen <= len(data) — restricted to blocks
+// strictly before blockStart and returns the best (src, len) found,
 // seeded with the caller's current best so the merge with in-block
 // candidates is a single comparison chain. Longer wins; on equal length
 // the larger source position (smaller distance) wins. src is -1 when no
-// candidate beats the seed.
-func (ix *chunkIndex) bestBefore(blockStart, p, maxLen int, bestSrc, bestL int32) (int32, int32) {
-	if p+fingerprintLen > len(ix.data) {
-		return bestSrc, bestL
-	}
+// candidate beats the seed. The walk applies the output-preserving
+// cutoffs documented at walkChain.
+func (ix *chunkIndex) bestBefore(blockStart, p, maxLen int, h uint32, bestSrc, bestL int32) (int32, int32) {
 	b := blockStart / ix.blockSize
-	slot := ix.heads[b*indexHashSize+int(hash8(load64(ix.data, p)))]
-	for probes := 0; slot >= 0 && probes < maxChainProbe; probes++ {
-		q := int(slot) * ix.rate
-		if l := commonLen(ix.data, q, p, maxLen); l > bestL || (l == bestL && int32(q) > bestSrc) {
-			bestSrc, bestL = int32(q), l
+	return walkChain(ix.data, ix.prev, 0, ix.rate, ix.heads[b*indexHashSize+int(h)], p, maxLen, bestSrc, bestL)
+}
+
+// walkChain visits up to maxChainProbe grid slots of one fingerprint
+// chain, starting at slot and following prev[slot-base], and merges each
+// candidate match for position p into (bestSrc, bestL) under bestBefore's
+// rule. Two cutoffs skip work that cannot change the answer:
+//
+//   - Early rejection: chains run by descending position and every seed
+//     lies above every chain candidate, so a candidate q wins only with a
+//     strictly longer match. Once a best exists, a q with
+//     data[q+bestL] != data[p+bestL] matches at most bestL bytes and is
+//     skipped without a commonLen; it still spends a probe, so the probe
+//     budget — and with it the output — is unchanged.
+//   - Length cap: once bestL == maxLen no candidate can be longer, and
+//     the walk ends.
+func walkChain(data []byte, prev []int32, base, rate int, slot int32, p, maxLen int, bestSrc, bestL int32) (int32, int32) {
+	for probes := 0; slot >= 0 && probes < maxChainProbe && int(bestL) < maxLen; probes++ {
+		q := int(slot) * rate
+		if bestSrc < 0 || data[q+int(bestL)] == data[p+int(bestL)] {
+			if l := commonLen(data, q, p, maxLen); l > bestL || (l == bestL && int32(q) > bestSrc) {
+				bestSrc, bestL = int32(q), l
+			}
 		}
-		slot = ix.prev[slot]
+		slot = prev[int(slot)-base]
 	}
 	return bestSrc, bestL
 }
@@ -180,31 +198,21 @@ func factorizeBlockSparse(chunk []byte, ix *chunkIndex, start, end int, scratch 
 	slots := sampledSlots(n, rate)
 	nextIns := firstSlot
 
-	insertUpTo := func(p int) {
-		for nextIns < slots && nextIns*rate < p {
-			q := nextIns * rate
-			h := hash8(load64(chunk, q))
+	for p := start; p < end; {
+		// Index this block's grid positions below p: the in-block chain
+		// holds exactly the slots the greedy pointer has passed.
+		for ; nextIns < slots && nextIns*rate < p; nextIns++ {
+			h := hash8(load64(chunk, nextIns*rate))
 			localPrev[nextIns-firstSlot] = localHead[h]
 			localHead[h] = int32(nextIns)
-			nextIns++
 		}
-	}
-
-	for p := start; p < end; {
-		insertUpTo(p)
 		var bestSrc, bestL int32 = -1, 0
 		maxLen := end - p
 		if p+fingerprintLen <= n {
-			slot := localHead[hash8(load64(chunk, p))]
-			for probes := 0; slot >= 0 && probes < maxChainProbe; probes++ {
-				q := int(slot) * rate
-				if l := commonLen(chunk, q, p, maxLen); l > bestL || (l == bestL && int32(q) > bestSrc) {
-					bestSrc, bestL = int32(q), l
-				}
-				slot = localPrev[int(slot)-firstSlot]
-			}
+			h := hash8(load64(chunk, p))
+			bestSrc, bestL = walkChain(chunk, localPrev, firstSlot, rate, localHead[h], p, maxLen, bestSrc, bestL)
 			if start > 0 {
-				bestSrc, bestL = ix.bestBefore(start, p, maxLen, bestSrc, bestL)
+				bestSrc, bestL = ix.bestBefore(start, p, maxLen, h, bestSrc, bestL)
 			}
 		}
 		if bestL >= minCopyLen {
@@ -261,8 +269,8 @@ func factorizeBlockDense(chunk []byte, ix *chunkIndex, start, end int, backing [
 			bestSrc = int32(start) + rel
 		}
 		p := start + pr
-		if start > 0 {
-			bestSrc, bestL = ix.bestBefore(start, p, end-p, bestSrc, bestL)
+		if start > 0 && p+fingerprintLen <= len(chunk) {
+			bestSrc, bestL = ix.bestBefore(start, p, end-p, hash8(load64(chunk, p)), bestSrc, bestL)
 		}
 		if bestL >= minCopyLen {
 			dst = append(dst, Factor{Dist: int32(p) - bestSrc, Len: bestL})

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -272,8 +273,8 @@ func appendFactors(dst []byte, fs []Factor) []byte {
 			dst = append(dst, 0, f.Lit)
 			continue
 		}
-		dst = appendUvarint(dst, uint64(f.Len))
-		dst = appendUvarint(dst, uint64(f.Dist))
+		dst = binary.AppendUvarint(dst, uint64(f.Len))
+		dst = binary.AppendUvarint(dst, uint64(f.Dist))
 	}
 	return dst
 }
@@ -353,9 +354,9 @@ func StreamCompress(eng *piper.Engine, w io.Writer, r io.Reader, o StreamOptions
 		if firstErr.Load() != nil {
 			return
 		}
-		rec := appendUvarint(hdr[:0], j.seq)
-		rec = appendUvarint(rec, uint64(len(j.data)))
-		rec = appendUvarint(rec, uint64(len(j.out)))
+		rec := binary.AppendUvarint(hdr[:0], j.seq)
+		rec = binary.AppendUvarint(rec, uint64(len(j.data)))
+		rec = binary.AppendUvarint(rec, uint64(len(j.out)))
 		for _, b := range [][]byte{rec, j.out} {
 			n, err := w.Write(b)
 			written += int64(n)
@@ -374,9 +375,9 @@ func StreamCompress(eng *piper.Engine, w io.Writer, r io.Reader, o StreamOptions
 	if ep := firstErr.Load(); ep != nil {
 		return written, *ep
 	}
-	term := appendUvarint(hdr[:0], seq)
-	term = appendUvarint(term, 0)
-	term = appendUvarint(term, total)
+	term := binary.AppendUvarint(hdr[:0], seq)
+	term = binary.AppendUvarint(term, 0)
+	term = binary.AppendUvarint(term, total)
 	n, err = w.Write(term)
 	written += int64(n)
 	if err != nil {
@@ -388,10 +389,10 @@ func StreamCompress(eng *piper.Engine, w io.Writer, r io.Reader, o StreamOptions
 
 func appendStreamHeader(dst []byte, o StreamOptions) []byte {
 	dst = append(dst, streamMagic[:]...)
-	dst = appendUvarint(dst, uint64(o.ChunkSize))
-	dst = appendUvarint(dst, uint64(o.BlockSize))
-	dst = appendUvarint(dst, uint64(o.SampleRate))
-	return appendUvarint(dst, uint64(o.Mode))
+	dst = binary.AppendUvarint(dst, uint64(o.ChunkSize))
+	dst = binary.AppendUvarint(dst, uint64(o.BlockSize))
+	dst = binary.AppendUvarint(dst, uint64(o.SampleRate))
+	return binary.AppendUvarint(dst, uint64(o.Mode))
 }
 
 func fillStreamStats(st *StreamStats, sc *streamCounters, k int, raw uint64, written int64) {
@@ -545,9 +546,9 @@ func StreamCompressSerial(w io.Writer, r io.Reader, o StreamOptions) (int64, err
 			factors = factorizeBlock(o.Mode, data, &ix, start, end, scratch, factors[:0])
 			out = appendFactors(out, factors)
 		}
-		rec := appendUvarint(hdr[:0], seq)
-		rec = appendUvarint(rec, uint64(nr))
-		rec = appendUvarint(rec, uint64(len(out)))
+		rec := binary.AppendUvarint(hdr[:0], seq)
+		rec = binary.AppendUvarint(rec, uint64(nr))
+		rec = binary.AppendUvarint(rec, uint64(len(out)))
 		for _, b := range [][]byte{rec, out} {
 			nw, werr := w.Write(b)
 			written += int64(nw)
@@ -564,9 +565,9 @@ func StreamCompressSerial(w io.Writer, r io.Reader, o StreamOptions) (int64, err
 			break // partial chunk: the stream ended
 		}
 	}
-	term := appendUvarint(hdr[:0], seq)
-	term = appendUvarint(term, 0)
-	term = appendUvarint(term, total)
+	term := binary.AppendUvarint(hdr[:0], seq)
+	term = binary.AppendUvarint(term, 0)
+	term = binary.AppendUvarint(term, total)
 	n, err = w.Write(term)
 	written += int64(n)
 	return written, err
@@ -574,10 +575,11 @@ func StreamCompressSerial(w io.Writer, r io.Reader, o StreamOptions) (int64, err
 
 // StreamDecompress decodes a container produced by StreamCompress or
 // StreamCompressSerial, writing the raw bytes to w. Every header field is
-// treated as attacker-controlled: sizes are bounded before any
-// allocation, chunk sequence numbers must be contiguous, payloads must
-// consume exactly their declared length while producing exactly their
-// declared raw length, and the terminator's total must match.
+// treated as attacker-controlled: sizes are bounded before use, buffers
+// grow only with the bytes actually read, chunk sequence numbers must be
+// contiguous, payloads must consume exactly their declared length while
+// producing exactly their declared raw length, and the terminator's total
+// must match.
 func StreamDecompress(w io.Writer, r io.Reader) (int64, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	var magic [4]byte
@@ -601,8 +603,9 @@ func StreamDecompress(w io.Writer, r io.Reader) (int64, error) {
 	if _, err := readBoundedUvarint(br, int64(ModeSparse)); err != nil {
 		return 0, errCorrupt
 	}
-	enc := make([]byte, 2*chunkSize)
-	raw := make([]byte, 0, chunkSize)
+	// A container that declares 16 MiB chunks and then ends must cost the
+	// reader's buffer and no more, so enc and raw start empty.
+	var enc, raw []byte
 	var written int64
 	var seq, total uint64
 	for {
@@ -631,10 +634,10 @@ func StreamDecompress(w io.Writer, r io.Reader) (int64, error) {
 		if err != nil || encLen == 0 {
 			return written, fmt.Errorf("lz: chunk %d encoded length overflow", seq)
 		}
-		if _, err := io.ReadFull(br, enc[:encLen]); err != nil {
+		if enc, err = readPayload(enc[:0], br, int(encLen)); err != nil {
 			return written, fmt.Errorf("lz: chunk %d truncated", seq)
 		}
-		raw, err = decodeChunkPayload(raw[:0], enc[:encLen], int(rawLen))
+		raw, err = decodeChunkPayload(raw[:0], enc, int(rawLen))
 		if err != nil {
 			return written, err
 		}
@@ -656,6 +659,26 @@ func readBoundedUvarint(br *bufio.Reader, max int64) (int64, error) {
 		return 0, errCorrupt
 	}
 	return int64(v), nil
+}
+
+// payloadStep is the most a payload read reserves ahead of the bytes it
+// has actually received.
+const payloadStep = 64 << 10
+
+// readPayload appends exactly n bytes from r to dst in pieces of at most
+// payloadStep, so a declared encLen with nothing behind it allocates one
+// piece, not n bytes. dst's capacity is reused across records.
+func readPayload(dst []byte, r io.Reader, n int) ([]byte, error) {
+	for len(dst) < n {
+		step := min(n-len(dst), payloadStep)
+		dst = slices.Grow(dst, step)
+		got, err := io.ReadFull(r, dst[len(dst):len(dst)+step])
+		dst = dst[:len(dst)+got]
+		if err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
 }
 
 // decodeChunkPayload expands one chunk's factor sequence into dst. The

@@ -3,6 +3,7 @@ package lz
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -215,22 +216,27 @@ func TestStreamDecompressRejectsCorrupt(t *testing.T) {
 		}
 	}
 
-	header := append([]byte(nil), enc[:recs[0]]...)
-	crafted := map[string][]byte{
-		"bad-magic":       append([]byte("pLZ9"), enc[4:]...),
-		"chunk-too-big":   {'p', 'L', 'Z', '1', 0x80, 0x80, 0x80, 0x10, 0x80, 0x80, 1, 8, 0},         // chunkSize 2^25
-		"raw-overflow":    append(append([]byte(nil), header...), 0, 0xFF, 0xFF, 0x7F, 1, 0),         // rawLen >> chunkSize
-		"enc-zero":        append(append([]byte(nil), header...), 0, 1, 0),                           // encLen == 0
-		"enc-overflow":    append(append([]byte(nil), header...), 0, 1, 0xFF, 0xFF, 0x7F),            // encLen > 2*chunkSize
-		"factor-escape":   append(append([]byte(nil), header...), 0, 2, 2, 4, 9),                     // copy dist 9 with nothing produced
-		"payload-short":   append(append([]byte(nil), header...), 0, 3, 2, 0, 'x'),                   // 1 raw byte from a 3-byte promise
-		"payload-surplus": append(append([]byte(nil), header...), 0, 1, 4, 0, 'x', 0, 'y'),           // enc continues past rawLen
-		"total-mismatch":  append(append([]byte(nil), header...), 0, 1, 2, 0, 'x', 1, 0, 0xFF, 0x7F), // terminator total wrong
-	}
-	for name, s := range crafted {
+	for name, s := range craftedStreams(enc[:recs[0]]) {
 		if err := decompress(s); err == nil {
 			t.Errorf("crafted stream %q decoded without error", name)
 		}
+	}
+}
+
+// craftedStreams are hand-built malformed containers, each behind the
+// valid header of a real container; every one must be rejected.
+func craftedStreams(header []byte) map[string][]byte {
+	header = header[:len(header):len(header)]
+	return map[string][]byte{
+		"bad-magic":       append([]byte("pLZ9"), header[4:]...),
+		"chunk-too-big":   {'p', 'L', 'Z', '1', 0x80, 0x80, 0x80, 0x10, 0x80, 0x80, 1, 8, 0}, // chunkSize 2^25
+		"raw-overflow":    append(header, 0, 0xFF, 0xFF, 0x7F, 1, 0),                         // rawLen >> chunkSize
+		"enc-zero":        append(header, 0, 1, 0),                                           // encLen == 0
+		"enc-overflow":    append(header, 0, 1, 0xFF, 0xFF, 0x7F),                            // encLen > 2*chunkSize
+		"factor-escape":   append(header, 0, 2, 2, 4, 9),                                     // copy dist 9 with nothing produced
+		"payload-short":   append(header, 0, 3, 2, 0, 'x'),                                   // 1 raw byte from a 3-byte promise
+		"payload-surplus": append(header, 0, 1, 4, 0, 'x', 0, 'y'),                           // enc continues past rawLen
+		"total-mismatch":  append(header, 0, 1, 2, 0, 'x', 1, 0, 0xFF, 0x7F),                 // terminator total wrong
 	}
 }
 
@@ -238,6 +244,94 @@ func decompressBytes(enc []byte) ([]byte, error) {
 	var out bytes.Buffer
 	_, err := StreamDecompress(&out, bytes.NewReader(enc))
 	return out.Bytes(), err
+}
+
+// TestStreamDecompressBoundedAlloc: the decoder's memory must follow the
+// bytes it reads, not the sizes a header or record claims. A header that
+// declares 16 MiB chunks and then ends, or a record that declares a
+// 32 MiB payload and then ends, must cost a bounded, small allocation.
+func TestStreamDecompressBoundedAlloc(t *testing.T) {
+	o := StreamOptions{ChunkSize: maxStreamChunkSize, BlockSize: minStreamBlockSize, SampleRate: 8, Mode: ModeSparse}
+	header := appendStreamHeader(nil, o)
+	record := binary.AppendUvarint(append([]byte(nil), header...), 0)   // seq
+	record = binary.AppendUvarint(record, uint64(maxStreamChunkSize))   // rawLen
+	record = binary.AppendUvarint(record, uint64(2*maxStreamChunkSize)) // encLen, no payload behind it
+	const limit = 256 << 10
+	for name, in := range map[string][]byte{"header-only": header, "claimed-payload": record} {
+		if _, err := StreamDecompress(io.Discard, bytes.NewReader(in)); err == nil {
+			t.Fatalf("%s: truncated container decoded without error", name)
+		}
+		res := testing.Benchmark(func(b *testing.B) {
+			for range b.N {
+				StreamDecompress(io.Discard, bytes.NewReader(in))
+			}
+		})
+		if got := res.AllocedBytesPerOp(); got >= limit {
+			t.Errorf("%s (%d bytes): %d bytes allocated per call, want < %d", name, len(in), got, limit)
+		}
+	}
+
+	// A valid container with the largest chunk size still decodes.
+	var enc bytes.Buffer
+	if _, err := StreamCompressSerial(&enc, streamInput(200<<10), o); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := decompressBytes(enc.Bytes())
+	raw := new(bytes.Buffer)
+	io.Copy(raw, streamInput(200<<10))
+	if err != nil || !bytes.Equal(dec, raw.Bytes()) {
+		t.Fatalf("valid container: err=%v, equal=%v", err, bytes.Equal(dec, raw.Bytes()))
+	}
+}
+
+// FuzzStreamDecompress: arbitrary bytes must decode or fail cleanly,
+// never panic; and the same bytes taken as raw input must compress to a
+// container that round-trips byte-exactly. The corpus starts from
+// TestStreamDecompressRejectsCorrupt's cases.
+func FuzzStreamDecompress(f *testing.F) {
+	o := StreamOptions{ChunkSize: minStreamChunkSize, BlockSize: minStreamBlockSize, Mode: ModeSparse}
+	// Seeds stay small, because the fuzzer minimizes every new input it
+	// finds: a short text container, and three zero-filled chunks whose
+	// container is a few dozen bytes.
+	for _, raw := range []io.Reader{streamInput(2 << 10), bytes.NewReader(make([]byte, 3*minStreamChunkSize))} {
+		var valid bytes.Buffer
+		if _, err := StreamCompressSerial(&valid, raw, o); err != nil {
+			f.Fatal(err)
+		}
+		enc := valid.Bytes()
+		f.Add(enc)
+		f.Add(enc[:len(enc)/2])
+	}
+	for _, s := range craftedStreams(appendStreamHeader(nil, o)) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		StreamDecompress(&budgetWriter{left: 1 << 20}, bytes.NewReader(in))
+
+		o.Mode = StreamMode(len(in) % 2)
+		var c bytes.Buffer
+		if _, err := StreamCompressSerial(&c, bytes.NewReader(in), o); err != nil {
+			t.Fatal(err)
+		}
+		dec, err := decompressBytes(c.Bytes())
+		if err != nil || !bytes.Equal(dec, in) {
+			t.Fatalf("round trip of %d bytes: err=%v, equal=%v", len(in), err, bytes.Equal(dec, in))
+		}
+	})
+}
+
+// budgetWriter discards what it is given and fails once more than left
+// bytes arrive. Valid LZ factors expand a few bytes into up to a whole
+// chunk, so an arbitrary container may legitimately declare gigabytes of
+// output; the budget keeps one fuzz input's decode short.
+type budgetWriter struct{ left int }
+
+func (w *budgetWriter) Write(p []byte) (int, error) {
+	if len(p) > w.left {
+		return 0, io.ErrShortWrite
+	}
+	w.left -= len(p)
+	return len(p), nil
 }
 
 // TestStreamMemLimitError: a ceiling below one chunk's working set must be
