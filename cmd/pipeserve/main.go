@@ -38,7 +38,10 @@
 // the quiet tenant's mixed p99 stays within solo_p99 * -qosfactor +
 // -qosslack, every engine drains, and each tenant class's admission
 // counters reconcile exactly (submitted == admitted+rejected+canceled
-// with zero pending/waiting at quiescence).
+// with zero pending/waiting at quiescence). Each class also reports the
+// p50/p99 of its served requests' lifecycle (Handle.Report's admission
+// wait, queue delay and run, plus the caller's wake-up after completion),
+// and the run names the component that inflated the quiet tenant's p99.
 //
 // Usage:
 //
@@ -53,8 +56,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,10 +107,52 @@ type tenantSpec struct {
 
 // classHists is the per-tenant-class latency record, split by outcome so
 // canceled requests (whose latency includes the canceler's sleep, not
-// service time) never contaminate the served percentiles.
+// service time) never contaminate the served percentiles. parts splits
+// each served latency into its lifecycle components (lifecycleParts).
 type classHists struct {
 	served  hist
 	aborted hist
+	parts   [len(lifecycleParts)]hist
+}
+
+// lifecycleParts names the components of a served request's latency:
+// the Handle's PipelineReport breakdown (admission slot wait, injection
+// to first run, run to completion) and the remainder, the caller waking
+// up after completion.
+var lifecycleParts = [...]string{"admission", "queue", "run", "wake"}
+
+// recordServed records a served request's latency and its lifecycle split.
+func (ch *classHists) recordServed(latency time.Duration, rep piper.PipelineReport) {
+	ch.served.record(latency)
+	parts := [len(lifecycleParts)]time.Duration{rep.AdmissionWait, rep.QueueDelay, rep.Run}
+	parts[3] = latency - parts[0] - parts[1] - parts[2]
+	for i, d := range parts {
+		ch.parts[i].record(d)
+	}
+}
+
+// lifecycle formats the p50 and p99 of each lifecycle component.
+func (ch *classHists) lifecycle() string {
+	var b strings.Builder
+	for i, name := range lifecycleParts {
+		s := ch.parts[i].sorted()
+		fmt.Fprintf(&b, " %s p50=%v p99=%v", name,
+			percentile(s, 0.50).Round(100*time.Nanosecond), percentile(s, 0.99).Round(100*time.Nanosecond))
+	}
+	return b.String()
+}
+
+// inflated names the lifecycle component whose p99 grew most from solo
+// to mixed.
+func inflated(solo, mixed *classHists) string {
+	best, grew := "", time.Duration(math.MinInt64)
+	for i, name := range lifecycleParts {
+		d := percentile(mixed.parts[i].sorted(), 0.99) - percentile(solo.parts[i].sorted(), 0.99)
+		if d > grew {
+			best, grew = name, d
+		}
+	}
+	return fmt.Sprintf("%s (p99 %+v)", best, grew.Round(time.Microsecond))
 }
 
 // runner aggregates one load phase against one engine.
@@ -207,11 +254,11 @@ func (r *runner) runTenant(spec tenantSpec) {
 					time.Sleep(cancelAfter)
 					cancel()
 				}
-				err := h.Wait()
+				rep, err := h.Report()
 				switch {
 				case err == nil:
 					r.completed.Add(1)
-					ch.served.record(time.Since(t0))
+					ch.recordServed(time.Since(t0), rep)
 				case errors.Is(err, piper.ErrSaturated), errors.Is(err, piper.ErrAdmissionExpired):
 					// Rejects resolve in microseconds on the admission fast
 					// path; keeping them out of the histograms stops them
@@ -304,6 +351,7 @@ func printTenantStats(r *runner) bool {
 				percentile(s, 0.99).Round(time.Microsecond),
 				percentile(s, 0.999).Round(time.Microsecond),
 				ch.aborted.count())
+			fmt.Printf("    lifecycle%s\n", ch.lifecycle())
 		}
 	}
 	acct := checkTenantAccounting(ts)
@@ -470,12 +518,15 @@ func runQoS() int {
 	_, soloDrained := awaitDrain(soloEng)
 	soloAcct := checkTenantAccounting(soloEng.TenantStats())
 	soloEng.Close()
-	soloServed := soloR.class("quiet").served.sorted()
+	soloQuiet := soloR.class("quiet")
+	soloServed := soloQuiet.served.sorted()
 	soloP99 := percentile(soloServed, 0.99)
-	fmt.Printf("  solo: served=%d p50=%v p99=%v drained=%v\n",
+	fmt.Printf("  solo: served=%d p50=%v p95=%v p99=%v drained=%v\n",
 		len(soloServed),
 		percentile(soloServed, 0.50).Round(time.Microsecond),
+		percentile(soloServed, 0.95).Round(time.Microsecond),
 		soloP99.Round(time.Microsecond), soloDrained)
+	fmt.Printf("    lifecycle%s\n", soloQuiet.lifecycle())
 
 	// Phase 2: same quiet tenant, now sharing the engine with the flood.
 	eng := piper.NewEngine(engineOpts(classes)...)
@@ -498,13 +549,15 @@ func runQoS() int {
 	total := quiet.requests + noisy.requests
 	ok := summarize(r, total, 2, elapsed, s, drained)
 
-	mixedServed := r.class("quiet").served.sorted()
+	mixedQuiet := r.class("quiet")
+	mixedServed := mixedQuiet.served.sorted()
 	mixedP99 := percentile(mixedServed, 0.99)
 	bound := time.Duration(float64(soloP99)**qosFact) + *qosSlack
 	qosOK := len(soloServed) > 0 && len(mixedServed) > 0 && mixedP99 <= bound
 	fmt.Printf("  qos: solo_p99=%v mixed_p99=%v bound=%v (factor=%.0f slack=%v) qos=%v\n",
 		soloP99.Round(time.Microsecond), mixedP99.Round(time.Microsecond),
 		bound.Round(time.Microsecond), *qosFact, *qosSlack, qosOK)
+	fmt.Printf("  qos: quiet inflated=%s\n", inflated(soloQuiet, mixedQuiet))
 
 	if !ok || !qosOK || !soloDrained || !soloAcct {
 		return 1

@@ -111,16 +111,20 @@ type TenantStats struct {
 	Waiting int64
 }
 
-// admitWaiter is one SubmitWait caller parked in its class queue. The
-// result channel is buffered so the admitter can resolve a waiter without
-// blocking while it holds the admission mutex: nil means admitted (the
-// slot is charged to the waiter's class), non-nil is the rejection.
+// admitWaiter is one SubmitWait caller parked in its class queue. It
+// carries its own launch: the admitter that grants it a slot starts the
+// pipeline on the releasing goroutine, so freed capacity never waits for
+// the caller to be rescheduled. The result channel is buffered so the
+// admitter can resolve a waiter without blocking: nil means admitted and
+// launched (the slot is charged to the waiter's class), non-nil is the
+// rejection and nothing was launched.
 type admitWaiter struct {
 	ch chan error
 	// enq and deadline are absolute nowNs timestamps; deadline 0 means
 	// none.
 	enq      int64
 	deadline int64
+	sub      submission
 }
 
 // tenantState is one class's admission state. Everything here is guarded
@@ -141,15 +145,28 @@ func (c *tenantState) room() bool {
 }
 
 // remove unlinks w from the class queue, preserving FIFO order, and
-// reports whether it was still queued.
+// reports whether it was still queued. The vacated tail slot is cleared
+// so the backing array does not pin the waiter's closures and Handle.
 func (c *tenantState) remove(w *admitWaiter) bool {
 	for i, qw := range c.q {
 		if qw == w {
-			c.q = append(c.q[:i], c.q[i+1:]...)
+			last := len(c.q) - 1
+			copy(c.q[i:], c.q[i+1:])
+			c.q[last] = nil
+			c.q = c.q[:last]
 			return true
 		}
 	}
 	return false
+}
+
+// popHead dequeues the class's head waiter, clearing its slot for the
+// same reason as remove.
+func (c *tenantState) popHead() *admitWaiter {
+	w := c.q[0]
+	c.q[0] = nil
+	c.q = c.q[1:]
+	return w
 }
 
 // admitter is the engine's admission queue. nil on engines with neither
@@ -257,25 +274,27 @@ func (a *admitter) tryAdmit(ci int) error {
 // immediately when there is room, otherwise parks in the class's FIFO
 // queue until the fair-queue scheduler hands it a freed slot, the
 // caller's context is done, the class admission deadline expires, or the
-// engine closes. A nil return means admitted — the caller holds a slot
-// it must release through finishTopLevel (or release it itself on the
-// engine-closed launch path).
-func (a *admitter) waitAdmit(ctx context.Context, ci int) error {
-	c := a.classes[ci]
+// engine closes. launched reports that the releaser of the slot already
+// started the pipeline, so the caller only returns its Handle. A nil
+// error with launched false means admitted on the fast path — the caller
+// holds a slot it must launch into (submitAdmitted releases it again if
+// the engine turns out to be closed).
+func (a *admitter) waitAdmit(s submission) (launched bool, err error) {
+	c := a.classes[s.ci]
 	a.mu.Lock()
 	c.submitted++
 	if a.closed {
 		c.rejected++
 		a.mu.Unlock()
 		a.eng.stats.saturations.Add(1)
-		return ErrEngineClosed
+		return false, ErrEngineClosed
 	}
 	if a.roomLocked(c) {
 		a.admitLocked(c)
 		a.mu.Unlock()
-		return nil
+		return false, nil
 	}
-	w := &admitWaiter{ch: make(chan error, 1), enq: nowNs()}
+	w := &admitWaiter{ch: make(chan error, 1), enq: nowNs(), sub: s}
 	var timerC <-chan time.Time
 	var timer *time.Timer
 	if d := c.cfg.Deadline; d > 0 {
@@ -290,33 +309,36 @@ func (a *admitter) waitAdmit(ctx context.Context, ci int) error {
 		defer timer.Stop()
 	}
 	var ctxDone <-chan struct{}
-	if ctx != nil {
-		ctxDone = ctx.Done()
+	if s.ctx != nil {
+		ctxDone = s.ctx.Done()
 	}
 	select {
-	case err := <-w.ch:
-		// Resolved by the admitter: admitted (nil), rejected by the class
-		// deadline sweep, or released by Close.
-		return err
+	case err = <-w.ch:
+		// Resolved by the admitter: admitted and launched (nil), rejected
+		// by the class deadline sweep, or released by Close.
+		a.eng.hookAt(hookAdmitted)
 	case <-ctxDone:
-		return a.cancelWait(c, w, context.Cause(ctx), true)
+		err = a.cancelWait(c, w, context.Cause(s.ctx), true)
 	case <-timerC:
-		return a.cancelWait(c, w, ErrAdmissionExpired, false)
+		err = a.cancelWait(c, w, ErrAdmissionExpired, false)
 	}
+	return err == nil, err
 }
 
 // cancelWait resolves the race between a caller-side wakeup (context
 // done, deadline fired) and the admitter resolving the same waiter. If
-// the waiter is still queued it is withdrawn and cause wins; if the
-// admitter got there first, its buffered verdict stands — an admission
-// in particular is kept (the caller proceeds to launch, and a dead
-// context then aborts the pipeline through the ordinary cancellation
-// path), so a slot is never released twice and never leaked.
+// the waiter is still queued it is withdrawn and cause wins; nothing was
+// launched. If the admitter got there first, its verdict stands — an
+// admission in particular is kept (the releaser already launched the
+// pipeline, and a dead context aborts it through the ordinary
+// cancellation path), so a slot is never released twice and never
+// leaked. The verdict is sent only after the launch, so this receive
+// may wait out that one inject.
 func (a *admitter) cancelWait(c *tenantState, w *admitWaiter, cause error, byCtx bool) error {
 	a.mu.Lock()
 	if !c.remove(w) {
 		a.mu.Unlock()
-		return <-w.ch // buffered: the admitter already resolved us
+		return <-w.ch // the admitter already resolved us
 	}
 	c.waiting--
 	wait := nowNs() - w.enq
@@ -336,36 +358,51 @@ func (a *admitter) cancelWait(c *tenantState, w *admitWaiter, cause error, byCtx
 }
 
 // release returns class ci's admission slot at pipeline completion and
-// hands the freed capacity to queued waiters under the fair policy.
+// hands the freed capacity to queued waiters under the fair policy. It
+// launches each admitted waiter's pipeline itself, after dropping the
+// mutex (a.mu is ordered before submitMu and idleMu), and only then
+// resolves the waiter: the slot is put to work on the releasing
+// goroutine instead of idling until the woken caller gets a processor.
+// A closed engine launches nothing; Close fails the queued waiters, and
+// the engine-closed release inside submitAdmitted cannot recurse.
 func (a *admitter) release(ci int) {
+	var buf [1]*admitWaiter // a release usually admits one waiter; keep it off the heap
 	a.mu.Lock()
 	a.total--
 	a.totalGauge.Store(int64(a.total))
 	a.classes[ci].pending--
-	a.admitNextLocked()
+	ready := buf[:0]
+	if !a.eng.closed.Load() {
+		ready = a.admitNextLocked(ready)
+	}
 	a.mu.Unlock()
+	for _, w := range ready {
+		a.eng.submitAdmitted(w.sub, true)
+		w.ch <- nil
+	}
 }
 
 // admitNextLocked drains freed capacity into the class queues: while the
 // global budget has room, pick the next class under DRR+EDF and admit
-// its head waiter. Called with the mutex held whenever capacity may have
-// appeared (a release, including a quota-bound release that frees only
-// class-local room).
-func (a *admitter) admitNextLocked() {
+// its head waiter, appending it to ready for the caller to launch.
+// Called with the mutex held whenever capacity may have appeared (a
+// release, including a quota-bound release that frees only class-local
+// room).
+func (a *admitter) admitNextLocked(ready []*admitWaiter) []*admitWaiter {
 	for a.limit == 0 || a.total < a.limit {
 		c := a.pickLocked()
 		if c == nil {
-			return
+			break
 		}
-		w := c.q[0]
-		c.q = c.q[1:]
+		w := c.popHead()
 		c.waiting--
 		wait := nowNs() - w.enq
 		c.waitNs += wait
 		a.eng.stats.admissionWaitNs.Add(wait)
 		a.admitLocked(c)
-		w.ch <- nil
+		ready = append(ready, w)
 	}
+	return ready
 }
 
 // pickLocked selects the class whose head waiter is admitted next:
@@ -429,11 +466,10 @@ func (a *admitter) pickLocked() *tenantState {
 func (a *admitter) rejectExpiredLocked(c *tenantState) {
 	now := nowNs()
 	for len(c.q) > 0 {
-		w := c.q[0]
-		if w.deadline == 0 || now <= w.deadline {
+		if d := c.q[0].deadline; d == 0 || now <= d {
 			return
 		}
-		c.q = c.q[1:]
+		w := c.popHead()
 		c.waiting--
 		wait := now - w.enq
 		c.waitNs += wait

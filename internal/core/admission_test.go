@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -418,4 +419,300 @@ func TestTenantCloseReleasesWaiters(t *testing.T) {
 	if ts.Submitted != ts.Admitted+ts.Rejected+ts.Canceled {
 		t.Errorf("per-class sum: %+v, want Submitted == Admitted+Rejected+Canceled", ts)
 	}
+}
+
+// TestTenantQueueClearsVacatedSlots pins that a waiter which leaves its
+// class queue — withdrawn by its context, or popped by an admission —
+// is not kept reachable through the queue's backing array: a queued
+// waiter carries its submission's closures, context and Handle.
+func TestTenantQueueClearsVacatedSlots(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Workers = 2
+	opts.MaxPending = 1
+	e := NewEngine(opts)
+	defer e.Close()
+
+	gate := make(chan struct{})
+	h0 := gatedSubmit(e, gate)
+
+	const n = 3
+	ctxs := make([]context.Context, n)
+	cancels := make([]context.CancelFunc, n)
+	results := make(chan error, n)
+	for i := 0; i < n; i++ {
+		ctxs[i], cancels[i] = context.WithCancel(context.Background())
+		defer cancels[i]()
+		go func(ctx context.Context) {
+			results <- e.SubmitWait(ctx, func() bool { return false }, func(*Iter) {}).Wait()
+		}(ctxs[i])
+		waitTenant(t, e, DefaultTenant, 5*time.Second, func(ts TenantStats) bool {
+			return ts.Waiting == int64(i+1)
+		})
+	}
+	c := e.adm.classes[0]
+	e.adm.mu.Lock()
+	back := c.q // the backing array, as it holds all n waiters
+	e.adm.mu.Unlock()
+	if len(back) != n {
+		t.Fatalf("queue holds %d waiters, want %d", len(back), n)
+	}
+
+	// Withdraw the middle waiter: remove shifts the tail left.
+	cancels[1]()
+	waitTenant(t, e, DefaultTenant, 5*time.Second, func(ts TenantStats) bool {
+		return ts.Waiting == n-1 && ts.Canceled == 1
+	})
+	e.adm.mu.Lock()
+	if back[n-1] != nil {
+		t.Errorf("slot %d still references a waiter after remove", n-1)
+	}
+	e.adm.mu.Unlock()
+
+	// Free the slot: both remaining waiters are popped from the head.
+	close(gate)
+	if err := h0.Wait(); err != nil {
+		t.Fatalf("gated pipeline failed: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		select {
+		case err := <-results:
+			if err != nil && !errors.Is(err, context.Canceled) {
+				t.Errorf("waiter: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("waiter never resolved")
+		}
+	}
+	e.adm.mu.Lock()
+	for i, w := range back {
+		if w != nil {
+			t.Errorf("slot %d still references a waiter after the queue drained", i)
+		}
+	}
+	e.adm.mu.Unlock()
+	checkEngineDrained(t, e)
+}
+
+// TestSubmitWaitLaunchesWithoutCaller pins work-conserving admission: the
+// slot freed by a completing pipeline starts the next queued submission
+// on the releasing worker. The hook holds the woken SubmitWait caller
+// until the queued pipeline's body has run; if the launch still needed
+// the caller, the body could not run and the hook would wait out its
+// limit.
+func TestSubmitWaitLaunchesWithoutCaller(t *testing.T) {
+	bodyRan := make(chan struct{})
+	var timedOut atomic.Bool
+	opts := DefaultOptions()
+	opts.Workers = 2
+	opts.MaxPending = 1
+	opts.hooks = &schedHooks{point: func(p hookPoint) {
+		if p != hookAdmitted {
+			return
+		}
+		select {
+		case <-bodyRan:
+		case <-time.After(5 * time.Second):
+			timedOut.Store(true)
+		}
+	}}
+	e := NewEngine(opts)
+	defer e.Close()
+
+	gate := make(chan struct{})
+	h0 := gatedSubmit(e, gate)
+	hc := make(chan *Handle, 1)
+	go func() {
+		i := 0
+		hc <- e.SubmitWait(nil, func() bool { i++; return i == 1 }, func(*Iter) { close(bodyRan) })
+	}()
+	waitTenant(t, e, DefaultTenant, 5*time.Second, func(ts TenantStats) bool { return ts.Waiting == 1 })
+
+	close(gate)
+	if err := h0.Wait(); err != nil {
+		t.Fatalf("gated pipeline failed: %v", err)
+	}
+	select {
+	case h := <-hc:
+		if err := h.Wait(); err != nil {
+			t.Fatalf("queued pipeline failed: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("SubmitWait never returned")
+	}
+	if timedOut.Load() {
+		t.Fatal("the queued pipeline ran only after its SubmitWait caller resumed; want it launched by the releasing worker")
+	}
+	checkEngineDrained(t, e)
+}
+
+// TestSubmitWaitRootsFirst pins the request-boundary order: a worker that
+// completes a top-level pipeline starts injected roots — its own ring,
+// then the others — before it takes older deque work. One worker is
+// pinned in request Y's body with Y's control frame on its deque; the
+// other completes request X while two roots wait, one in each ring. Both
+// roots must start before Y's next iteration. (With one worker, every
+// top-level completion finds the deque empty, so the order is only
+// observable across two.)
+func TestSubmitWaitRootsFirst(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Workers = 2
+	opts.Grain = 1 // release the control frame at every stage-0 exit
+	e := NewEngine(opts)
+	defer e.Close()
+
+	var (
+		mu    sync.Mutex
+		order []string
+	)
+	record := func(s string) {
+		mu.Lock()
+		order = append(order, s)
+		mu.Unlock()
+	}
+
+	gateX, inX := make(chan struct{}), make(chan struct{})
+	i := 0
+	hx := e.SubmitWait(nil, func() bool { i++; return i == 1 }, func(it *Iter) {
+		it.Continue(1)
+		close(inX)
+		<-gateX
+	})
+	<-inX
+
+	gateY, inY := make(chan struct{}), make(chan struct{})
+	j := 0
+	hy := e.SubmitWait(nil, func() bool {
+		j++
+		if j == 2 {
+			record("Y")
+		}
+		return j <= 2
+	}, func(it *Iter) {
+		first := it.Index() == 0
+		it.Continue(1) // Y's control frame goes to this worker's deque
+		if first {
+			close(inY)
+			<-gateY
+		}
+	})
+	<-inY
+
+	// Both workers are pinned, so the roots stay in their rings, one in
+	// each (injection is round-robin over the live rings).
+	var roots []*Handle
+	for r := 0; r < 2; r++ {
+		k := 0
+		roots = append(roots, e.SubmitWait(nil, func() bool {
+			k++
+			if k == 1 {
+				record("R")
+			}
+			return k == 1
+		}, func(*Iter) {}))
+	}
+
+	close(gateX)
+	for _, h := range append(roots, hx) {
+		if err := h.Wait(); err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+	}
+	// Y's second iteration runs without its first, so by now it started.
+	settles(5*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(order) == 3
+	})
+	close(gateY)
+	if err := hy.Wait(); err != nil {
+		t.Fatalf("Y: %v", err)
+	}
+	want := []string{"R", "R", "Y"}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(order) != len(want) {
+		t.Fatalf("start order %v, want %v", order, want)
+	}
+	for n := range want {
+		if order[n] != want[n] {
+			t.Fatalf("start order %v, want %v: roots first at a top-level completion", order, want)
+		}
+	}
+	checkEngineDrained(t, e)
+}
+
+// TestSubmitWaitLifecycleReport pins the Handle's lifecycle breakdown:
+// every component is non-negative, their sum fits inside the latency the
+// caller measured around the submission, and a submission that queued
+// for admission reports that time as AdmissionWait.
+func TestSubmitWaitLifecycleReport(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Workers = 2
+	opts.MaxPending = 1
+	e := NewEngine(opts)
+	defer e.Close()
+
+	check := func(name string, rep PipelineReport, latency time.Duration) {
+		t.Helper()
+		parts := []time.Duration{rep.AdmissionWait, rep.QueueDelay, rep.Run}
+		var sum time.Duration
+		for _, d := range parts {
+			if d < 0 {
+				t.Errorf("%s: negative component in %+v", name, rep)
+			}
+			sum += d
+		}
+		if sum > latency {
+			t.Errorf("%s: AdmissionWait %v + QueueDelay %v + Run %v = %v exceeds the caller's latency %v",
+				name, rep.AdmissionWait, rep.QueueDelay, rep.Run, sum, latency)
+		}
+		if rep.Run <= 0 {
+			t.Errorf("%s: Run = %v, want > 0", name, rep.Run)
+		}
+	}
+	run := func(submit func(cond func() bool, body func(*Iter)) *Handle) (PipelineReport, time.Duration) {
+		i := 0
+		t0 := time.Now()
+		rep, err := submit(func() bool { i++; return i <= 4 }, func(it *Iter) {
+			it.Continue(1)
+			time.Sleep(100 * time.Microsecond)
+		}).Report()
+		latency := time.Since(t0)
+		if err != nil {
+			t.Fatalf("Report: %v", err)
+		}
+		return rep, latency
+	}
+
+	rep, latency := run(func(c func() bool, b func(*Iter)) *Handle { return e.Submit(nil, c, b) })
+	check("unqueued", rep, latency)
+
+	const pinned = 5 * time.Millisecond
+	gate := make(chan struct{})
+	h0 := gatedSubmit(e, gate)
+	type result struct {
+		rep     PipelineReport
+		latency time.Duration
+	}
+	res := make(chan result, 1)
+	go func() {
+		rep, latency := run(func(c func() bool, b func(*Iter)) *Handle { return e.SubmitWait(nil, c, b) })
+		res <- result{rep, latency}
+	}()
+	waitTenant(t, e, DefaultTenant, 5*time.Second, func(ts TenantStats) bool { return ts.Waiting == 1 })
+	time.Sleep(pinned)
+	close(gate)
+	if err := h0.Wait(); err != nil {
+		t.Fatalf("gated pipeline failed: %v", err)
+	}
+	r := <-res
+	check("queued", r.rep, r.latency)
+	if r.rep.AdmissionWait < pinned {
+		t.Errorf("queued: AdmissionWait = %v, want >= %v spent behind the pinned slot", r.rep.AdmissionWait, pinned)
+	}
+
+	if rep := e.RunPipeline(0, func() bool { return false }, func(*Iter) {}); rep.AdmissionWait != 0 || rep.QueueDelay != 0 || rep.Run != 0 {
+		t.Errorf("blocking run: lifecycle %+v, want zero (submissions only)", rep)
+	}
+	checkEngineDrained(t, e)
 }

@@ -557,6 +557,15 @@ type PipelineReport struct {
 	// semantics: span is an upper bound, so Parallelism is a lower
 	// bound).
 	WorkNs, SpanNs int64
+	// AdmissionWait, QueueDelay and Run are the lifecycle breakdown of a
+	// submission (Submit*/SubmitWait*; zero for blocking runs), from one
+	// clock read at each boundary: submit call to injection (time queued
+	// for an admission slot, plus the admission call itself), injection
+	// to the control frame's first step (waiting for a worker), and first
+	// step to completion. Their sum is the submission's latency up to the
+	// completing worker publishing it; the rest of a caller's measured
+	// latency is the caller waking up.
+	AdmissionWait, QueueDelay, Run time.Duration
 }
 
 // Parallelism returns the measured T1/T∞, or 0 for uninstrumented runs.
@@ -1055,9 +1064,35 @@ func (w *worker) afterDone(f *frame) *frame {
 			return w.deque.Pop()
 		}
 		w.eng.finishTopLevel(pl)
+		// Roots first at a request boundary: the completion may just have
+		// launched a queued submission, and the deque holds older work
+		// that thieves can still take. Starting injected roots here keeps
+		// start order close to admission order.
+		if f := w.pollRoots(); f != nil {
+			return f
+		}
 		return w.deque.Pop()
 	}
 	return w.deque.Pop()
+}
+
+// pollRoots takes one injected root frame: from this worker's injection
+// ring, then the overflow list, then the other workers' rings.
+func (w *worker) pollRoots() *frame {
+	if f := w.inbox.Poll(); f != nil {
+		return f
+	}
+	e := w.eng
+	if f := e.popOverflow(); f != nil {
+		return f
+	}
+	n := len(e.workers)
+	for i := 1; i < n; i++ {
+		if f := e.workers[(w.id+i)%n].inbox.Poll(); f != nil {
+			return f
+		}
+	}
+	return nil
 }
 
 // afterClosure retires a fork-join task.

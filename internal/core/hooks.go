@@ -33,6 +33,10 @@ const (
 	hookParkPublish
 	// hookPollWork fires at the top of a worker's work scan.
 	hookPollWork
+	// hookAdmitted fires where a SubmitWait caller that queued for
+	// admission resumes after the admitter resolved it — after the
+	// releaser launched its pipeline, before SubmitWait returns.
+	hookAdmitted
 )
 
 // schedHooks is the perturbation hook set. Any field may be nil; non-nil

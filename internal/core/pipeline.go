@@ -39,6 +39,10 @@ type pipeline struct {
 	// class index the slot is charged to (see admission.go).
 	admitted bool
 	tenant   int
+	// launched and started are the nowNs times the submission was
+	// injected and its control frame first stepped, for the Handle's
+	// lifecycle breakdown. started is control-frame state like phase.
+	launched, started int64
 	// abort points at the submission's cancellation word, shared by every
 	// pipeline nested under the same Submit; nil when the pipeline cannot
 	// be canceled. The abortState is owned by the Handle and outlives this
@@ -278,6 +282,9 @@ func (pl *pipeline) newIter(prev *frame) *frame {
 // caller must unwind touching nothing).
 func (pl *pipeline) step(cf *frame, w *worker) yieldMsg {
 	cf.w = w
+	if pl.started == 0 {
+		pl.started = nowNs()
+	}
 	pl.eng.stats.segments.Add(1)
 	for {
 		if pl.phase == phaseLoop {

@@ -179,6 +179,7 @@ func (e *Engine) acquirePipeline() *pipeline {
 	pl.sub = nil
 	pl.admitted = false
 	pl.tenant = 0
+	pl.launched, pl.started = 0, 0
 	pl.abort = nil
 	pl.nextIndex = 0
 	pl.phase = phaseLoop

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 )
 
 // Async submission and cancellation (the serving layer).
@@ -130,6 +131,9 @@ type Handle struct {
 	// closed (or by Submit itself for an engine-closed handle).
 	rep PipelineReport
 	err error
+	// submitted is the nowNs time the submission entered the engine, the
+	// start of the report's lifecycle breakdown.
+	submitted int64
 }
 
 // Wait blocks until the pipeline completes and returns nil on success,
@@ -215,44 +219,65 @@ func (e *Engine) SubmitWaitThrottled(ctx context.Context, k int, cond func() boo
 	return e.submitClass(ctx, DefaultTenant, k, cond, body, true)
 }
 
+// submission is everything needed to launch one admitted pipeline. A
+// SubmitWait caller that has to queue hands it to the admitter, which
+// launches it when it grants the slot.
+type submission struct {
+	ctx  context.Context
+	k    int
+	cond func() bool
+	body func(*Iter)
+	h    *Handle
+	// ci is the tenant class index the admission slot is charged to.
+	ci int
+}
+
 // submitClass routes a submission through the engine's admission queue
 // (when one is configured) and launches it. block selects the blocking
 // (SubmitWait) versus reject (Submit) admission policy.
 func (e *Engine) submitClass(ctx context.Context, tenant string, k int, cond func() bool, body func(*Iter), block bool) *Handle {
-	h := &Handle{eng: e, done: make(chan struct{})}
-	ci, admitted := 0, false
-	if e.adm != nil {
-		var ok bool
-		if ci, ok = e.adm.lookup(tenant); !ok {
-			h.err = fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
-			close(h.done)
-			return h
+	h := &Handle{eng: e, done: make(chan struct{}), submitted: nowNs()}
+	s := submission{ctx: ctx, k: k, cond: cond, body: body, h: h}
+	if e.adm == nil {
+		if tenant != DefaultTenant {
+			return h.fail(fmt.Errorf("%w: %q (engine has no tenant classes)", ErrUnknownTenant, tenant))
 		}
-		var err error
-		if block {
-			err = e.adm.waitAdmit(ctx, ci)
-		} else {
-			err = e.adm.tryAdmit(ci)
-		}
-		if err != nil {
-			h.err = err
-			close(h.done)
-			return h
-		}
-		admitted = true
-	} else if tenant != DefaultTenant {
-		h.err = fmt.Errorf("%w: %q (engine has no tenant classes)", ErrUnknownTenant, tenant)
-		close(h.done)
-		return h
+		return e.submitAdmitted(s, false)
 	}
-	return e.submitAdmitted(ctx, k, cond, body, h, admitted, ci)
+	var ok bool
+	if s.ci, ok = e.adm.lookup(tenant); !ok {
+		return h.fail(fmt.Errorf("%w: %q", ErrUnknownTenant, tenant))
+	}
+	if block {
+		launched, err := e.adm.waitAdmit(s)
+		switch {
+		case launched:
+			// The releaser of the slot already started the pipeline; it
+			// may be running or finished by now.
+			return h
+		case err != nil:
+			return h.fail(err)
+		}
+	} else if err := e.adm.tryAdmit(s.ci); err != nil {
+		return h.fail(err)
+	}
+	return e.submitAdmitted(s, true)
 }
 
-// submitAdmitted launches an already-admitted submission. admitted records
-// whether h holds an admission slot of tenant class ci; the slot is
-// released by finishTopLevel at completion, or right here if the engine
-// turns out to be closed.
-func (e *Engine) submitAdmitted(ctx context.Context, k int, cond func() bool, body func(*Iter), h *Handle, admitted bool, ci int) *Handle {
+// fail resolves a Handle whose submission never launched.
+func (h *Handle) fail(err error) *Handle {
+	h.err = err
+	close(h.done)
+	return h
+}
+
+// submitAdmitted launches submission s. admitted records whether s holds
+// an admission slot of its tenant class; the slot is released by
+// finishTopLevel at completion, or right here if the engine turns out to
+// be closed. Runs on the submitting goroutine, or on the goroutine that
+// released the slot a queued SubmitWait caller was waiting for.
+func (e *Engine) submitAdmitted(s submission, admitted bool) *Handle {
+	h := s.h
 	// The read side of submitMu spans the closed check and the inject, so
 	// a Submit racing Close either fails with ErrEngineClosed or has its
 	// root frame published before the closed flag flips — where the
@@ -261,19 +286,17 @@ func (e *Engine) submitAdmitted(ctx context.Context, k int, cond func() bool, bo
 	if e.closed.Load() {
 		e.submitMu.RUnlock()
 		if admitted {
-			e.adm.release(ci)
+			e.adm.release(s.ci)
 		}
-		h.err = ErrEngineClosed
-		close(h.done)
-		return h
+		return h.fail(ErrEngineClosed)
 	}
 	e.stats.submits.Add(1)
-	pl := e.newPipeline(k, cond, body, 1)
+	pl := e.newPipeline(s.k, s.cond, s.body, 1)
 	pl.abort = &h.abort
 	pl.sub = h
 	pl.admitted = admitted
-	pl.tenant = ci
-	if ctx != nil {
+	pl.tenant = s.ci
+	if ctx := s.ctx; ctx != nil {
 		if err := context.Cause(ctx); err != nil {
 			// Canceled before launch: mark the abort now, but still run the
 			// pipeline through the scheduler so completion, accounting, and
@@ -291,6 +314,7 @@ func (e *Engine) submitAdmitted(ctx context.Context, k int, cond func() bool, bo
 			})
 		}
 	}
+	pl.launched = nowNs()
 	e.inject(pl.control)
 	e.submitMu.RUnlock()
 	return h
@@ -307,7 +331,11 @@ func (e *Engine) finishTopLevel(pl *pipeline) {
 		close(pl.done)
 		return
 	}
+	done := nowNs()
 	h.rep = pl.report()
+	h.rep.AdmissionWait = time.Duration(pl.launched - h.submitted)
+	h.rep.QueueDelay = time.Duration(pl.started - pl.launched)
+	h.rep.Run = time.Duration(done - pl.started)
 	switch {
 	case pl.panicVal.Load() != nil:
 		pb := pl.panicVal.Load()
@@ -321,12 +349,14 @@ func (e *Engine) finishTopLevel(pl *pipeline) {
 		h.stop()
 		h.stop = nil
 	}
-	if pl.admitted {
-		// Release the admission slot before publishing completion, so a
-		// SubmitWait caller blocked on the budget is admitted no later
-		// than this handle's Wait returns.
-		e.adm.release(pl.tenant)
-	}
+	admitted, ci := pl.admitted, pl.tenant
 	e.releasePipeline(pl)
+	if admitted {
+		// Release the admission slot before publishing completion, so the
+		// next queued submission is launched no later than this handle's
+		// Wait returns. The pipeline was recycled first, so that launch
+		// can reuse it.
+		e.adm.release(ci)
+	}
 	close(h.done)
 }
