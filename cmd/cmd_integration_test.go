@@ -166,7 +166,7 @@ func TestPipeserveQoS(t *testing.T) {
 	// class's admission counters reconcile; assert the markers too.
 	stdout, _ := run(t, bin,
 		"-qos", "-p", "2", "-maxpending", "4", "-requests", "600", "-work", "400", "-seed", "7")
-	for _, want := range []string{"failures=0", "drained=true", "accounting=true", "qos=true", "lifecycle admission", "inflated="} {
+	for _, want := range []string{"failures=0", "drained=true", "accounting=true", "qos=true", "within_without_slack=", "lifecycle admission", "inflated="} {
 		if !strings.Contains(stdout, want) {
 			t.Fatalf("missing %q in pipeserve qos output:\n%s", want, stdout)
 		}

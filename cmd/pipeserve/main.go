@@ -38,7 +38,9 @@
 // the quiet tenant's mixed p99 stays within solo_p99 * -qosfactor +
 // -qosslack, every engine drains, and each tenant class's admission
 // counters reconcile exactly (submitted == admitted+rejected+canceled
-// with zero pending/waiting at quiescence). Each class also reports the
+// with zero pending/waiting at quiescence). The mixed/solo p99 ratio and
+// whether the mixed p99 fits solo_p99 * -qosfactor alone are printed
+// next to the bound but do not gate it. Each class also reports the
 // p50/p99 of its served requests' lifecycle (Handle.Report's admission
 // wait, queue delay and run, plus the caller's wake-up after completion),
 // and the run names the component that inflated the quiet tenant's p99.
@@ -557,6 +559,16 @@ func runQoS() int {
 	fmt.Printf("  qos: solo_p99=%v mixed_p99=%v bound=%v (factor=%.0f slack=%v) qos=%v\n",
 		soloP99.Round(time.Microsecond), mixedP99.Round(time.Microsecond),
 		bound.Round(time.Microsecond), *qosFact, *qosSlack, qosOK)
+	// The slack term can carry the bound on its own when the solo p99 is
+	// small, so report the scaled solo p99 without it: isolation lost to
+	// a regression stays visible even while qos=true.
+	scaled := time.Duration(float64(soloP99) * *qosFact)
+	ratio := 0.0
+	if soloP99 > 0 {
+		ratio = float64(mixedP99) / float64(soloP99)
+	}
+	fmt.Printf("  qos: mixed/solo=%.1fx solo_p99*factor=%v within_without_slack=%v\n",
+		ratio, scaled.Round(time.Microsecond), len(mixedServed) > 0 && mixedP99 <= scaled)
 	fmt.Printf("  qos: quiet inflated=%s\n", inflated(soloQuiet, mixedQuiet))
 
 	if !ok || !qosOK || !soloDrained || !soloAcct {

@@ -365,7 +365,8 @@ func (a *admitter) cancelWait(c *tenantState, w *admitWaiter, cause error, byCtx
 // goroutine instead of idling until the woken caller gets a processor.
 // A closed engine launches nothing; Close fails the queued waiters, and
 // the engine-closed release inside submitAdmitted cannot recurse.
-func (a *admitter) release(ci int) {
+// launched reports whether a queued submission was started.
+func (a *admitter) release(ci int) (launched bool) {
 	var buf [1]*admitWaiter // a release usually admits one waiter; keep it off the heap
 	a.mu.Lock()
 	a.total--
@@ -380,6 +381,7 @@ func (a *admitter) release(ci int) {
 		a.eng.submitAdmitted(w.sub, true)
 		w.ch <- nil
 	}
+	return len(ready) > 0
 }
 
 // admitNextLocked drains freed capacity into the class queues: while the

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -545,17 +546,41 @@ func TestSubmitWaitLaunchesWithoutCaller(t *testing.T) {
 	checkEngineDrained(t, e)
 }
 
-// TestSubmitWaitRootsFirst pins the request-boundary order: a worker that
-// completes a top-level pipeline starts injected roots — its own ring,
-// then the others — before it takes older deque work. One worker is
-// pinned in request Y's body with Y's control frame on its deque; the
-// other completes request X while two roots wait, one in each ring. Both
-// roots must start before Y's next iteration. (With one worker, every
-// top-level completion finds the deque empty, so the order is only
-// observable across two.)
+// TestSubmitWaitRootsFirst pins the request-boundary order: a worker whose
+// completion releases an admission slot and so launches a queued
+// submission starts injected roots — its own ring, then the others —
+// before it takes older deque work.
 func TestSubmitWaitRootsFirst(t *testing.T) {
+	if order := rootsStartOrder(t, 2); !slices.Equal(order, []string{"R", "R", "Y"}) {
+		t.Fatalf("start order %v, want [R R Y]: roots first after a completion that launched", order)
+	}
+}
+
+// TestSubmitWaitWorkFirstWithoutAdmission pins the other side: on an
+// engine without admission a completion launches nothing, so the worker
+// keeps the work-first order — its own ring, then a steal sweep that
+// reaches the victim's deque before the victim's ring.
+func TestSubmitWaitWorkFirstWithoutAdmission(t *testing.T) {
+	if order := rootsStartOrder(t, 0); !slices.Equal(order, []string{"R", "Y", "R"}) {
+		t.Fatalf("start order %v, want [R Y R]: work-first order without admission", order)
+	}
+}
+
+// rootsStartOrder runs the request-boundary scenario on a two-worker
+// engine and returns the start order of two roots (R) and request Y's
+// second iteration. One worker is pinned in Y's body with Y's control
+// frame on its deque; the other completes request X while the two roots
+// wait. With maxPending 2, X and Y hold the budget, so the roots queue
+// and each is launched by the completion that frees its slot; with 0 they
+// are injected up front. Either way injection alternates rings, so one
+// root sits in the pinned worker's ring, which a steal sweep reaches only
+// after that worker's deque. (With one worker, every top-level completion
+// finds the deque empty, so the order is only observable across two.)
+func rootsStartOrder(t *testing.T, maxPending int) []string {
+	t.Helper()
 	opts := DefaultOptions()
 	opts.Workers = 2
+	opts.MaxPending = maxPending
 	opts.Grain = 1 // release the control frame at every stage-0 exit
 	e := NewEngine(opts)
 	defer e.Close()
@@ -597,27 +622,39 @@ func TestSubmitWaitRootsFirst(t *testing.T) {
 	})
 	<-inY
 
-	// Both workers are pinned, so the roots stay in their rings, one in
-	// each (injection is round-robin over the live rings).
-	var roots []*Handle
+	roots := make(chan *Handle, 2)
 	for r := 0; r < 2; r++ {
-		k := 0
-		roots = append(roots, e.SubmitWait(nil, func() bool {
-			k++
-			if k == 1 {
-				record("R")
-			}
-			return k == 1
-		}, func(*Iter) {}))
+		submit := func() {
+			k := 0
+			roots <- e.SubmitWait(nil, func() bool {
+				k++
+				if k == 1 {
+					record("R")
+				}
+				return k == 1
+			}, func(*Iter) {})
+		}
+		if maxPending > 0 {
+			go submit()
+		} else {
+			submit()
+		}
+	}
+	if maxPending > 0 {
+		waitTenant(t, e, DefaultTenant, 5*time.Second, func(ts TenantStats) bool { return ts.Waiting == 2 })
 	}
 
 	close(gateX)
-	for _, h := range append(roots, hx) {
-		if err := h.Wait(); err != nil {
-			t.Fatalf("Wait: %v", err)
+	if err := hx.Wait(); err != nil {
+		t.Fatalf("X: %v", err)
+	}
+	for r := 0; r < 2; r++ {
+		if err := (<-roots).Wait(); err != nil {
+			t.Fatalf("root: %v", err)
 		}
 	}
-	// Y's second iteration runs without its first, so by now it started.
+	// Y's second iteration runs without its first, so by now it started
+	// or is about to.
 	settles(5*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -627,18 +664,10 @@ func TestSubmitWaitRootsFirst(t *testing.T) {
 	if err := hy.Wait(); err != nil {
 		t.Fatalf("Y: %v", err)
 	}
-	want := []string{"R", "R", "Y"}
+	checkEngineDrained(t, e)
 	mu.Lock()
 	defer mu.Unlock()
-	if len(order) != len(want) {
-		t.Fatalf("start order %v, want %v", order, want)
-	}
-	for n := range want {
-		if order[n] != want[n] {
-			t.Fatalf("start order %v, want %v: roots first at a top-level completion", order, want)
-		}
-	}
-	checkEngineDrained(t, e)
+	return order
 }
 
 // TestSubmitWaitLifecycleReport pins the Handle's lifecycle breakdown:

@@ -562,9 +562,10 @@ type PipelineReport struct {
 	// clock read at each boundary: submit call to injection (time queued
 	// for an admission slot, plus the admission call itself), injection
 	// to the control frame's first step (waiting for a worker), and first
-	// step to completion. Their sum is the submission's latency up to the
-	// completing worker publishing it; the rest of a caller's measured
-	// latency is the caller waking up.
+	// step to the completing worker publishing it. Run includes releasing
+	// the admission slot, and with it launching the next queued
+	// submission. The rest of a caller's measured latency is the caller
+	// waking up.
 	AdmissionWait, QueueDelay, Run time.Duration
 }
 
@@ -1063,13 +1064,14 @@ func (w *worker) afterDone(f *frame) *frame {
 			}
 			return w.deque.Pop()
 		}
-		w.eng.finishTopLevel(pl)
-		// Roots first at a request boundary: the completion may just have
-		// launched a queued submission, and the deque holds older work
-		// that thieves can still take. Starting injected roots here keeps
-		// start order close to admission order.
-		if f := w.pollRoots(); f != nil {
-			return f
+		// Roots first after a release that launched a queued submission:
+		// the deque holds older work that thieves can still take, and
+		// starting injected roots here keeps start order close to
+		// admission order. Other completions keep the work-first order.
+		if w.eng.finishTopLevel(pl) {
+			if f := w.pollRoots(); f != nil {
+				return f
+			}
 		}
 		return w.deque.Pop()
 	}

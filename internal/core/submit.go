@@ -324,18 +324,18 @@ func (e *Engine) submitAdmitted(s submission, admitted bool) *Handle {
 // the Handle for submitted pipelines, through the done channel for
 // blocking PipeWhile calls. Runs on the worker that retired the control
 // frame; for submitted pipelines it also releases the pipeline, so a
-// Handle left un-Waited never pins scheduler state.
-func (e *Engine) finishTopLevel(pl *pipeline) {
+// Handle left un-Waited never pins scheduler state. launched reports
+// that releasing the admission slot started a queued submission.
+func (e *Engine) finishTopLevel(pl *pipeline) (launched bool) {
 	h := pl.sub
 	if h == nil {
 		close(pl.done)
-		return
+		return false
 	}
-	done := nowNs()
 	h.rep = pl.report()
 	h.rep.AdmissionWait = time.Duration(pl.launched - h.submitted)
 	h.rep.QueueDelay = time.Duration(pl.started - pl.launched)
-	h.rep.Run = time.Duration(done - pl.started)
+	started := pl.started
 	switch {
 	case pl.panicVal.Load() != nil:
 		pb := pl.panicVal.Load()
@@ -356,7 +356,11 @@ func (e *Engine) finishTopLevel(pl *pipeline) {
 		// next queued submission is launched no later than this handle's
 		// Wait returns. The pipeline was recycled first, so that launch
 		// can reuse it.
-		e.adm.release(ci)
+		launched = e.adm.release(ci)
 	}
+	// Run ends here, after the release and any launch it made, so the
+	// caller's remainder of its latency is only its own wake-up.
+	h.rep.Run = time.Duration(nowNs() - started)
 	close(h.done)
+	return launched
 }
